@@ -452,6 +452,8 @@ def load_bundle(path) -> DataBundle:
         if split_name not in SPLITS:
             raise ValueError(f"bundle {path}: unknown split {split_name!r}")
         if forget:
+            if split_name != "train":
+                raise ValueError(f"bundle {path}: forget=1 on a {split_name} row")
             forget_idx.append(len(splits["train"]))
         splits[split_name].append(Sample(s, b, label, group, flag))
 

@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages: `generate`, `train`, `unlearn`,
 `eval`, `cobum`, `saliency` run one stage each against a scenario config;
 `run` executes the whole pipeline and writes the report table. Exit codes:
-0 success, 2 operator error (bad flags, missing files, malformed config),
-1 internal error.
+0 success, 2 operator error (bad flags, missing files, malformed config, a
+checkpoint that is corrupt or does not fit the config's data), 1 internal
+error.
 """
 
 from __future__ import annotations
@@ -43,11 +44,28 @@ def _bundle(cfg: hn.ExperimentConfig, args) -> bg.DataBundle:
     return hn.build_bundle(cfg, args.seed)
 
 
+def _checkpoint_for(bundle: bg.DataBundle, path,
+                    role: str = "checkpoint") -> md.ModelParams:
+    """Load a checkpoint, rejecting a missing or corrupt file or one whose
+    input width or class count does not fit the bundle."""
+    if not Path(path).exists():
+        raise hn.UserError(f"{role} not found: {path}")
+    try:
+        model = md.load_checkpoint(path)
+    except ValueError as e:
+        raise hn.UserError(str(e)) from e
+    width = bundle.d_s + bundle.d_b
+    if model.layer_sizes[0] != width or model.n_classes != bundle.n_classes:
+        raise hn.UserError(
+            f"checkpoint {path}: model takes {model.layer_sizes[0]} inputs and "
+            f"{model.n_classes} classes, the config's bundle has {width} and "
+            f"{bundle.n_classes}")
+    return model
+
+
 def _load_or_train_baseline(cfg, bundle, args):
     if args.baseline:
-        if not Path(args.baseline).exists():
-            raise hn.UserError(f"baseline checkpoint not found: {args.baseline}")
-        return md.load_checkpoint(args.baseline)
+        return _checkpoint_for(bundle, args.baseline, "baseline checkpoint")
     model, _, _ = hn.train_baseline(cfg, bundle, args.seed)
     return model
 
@@ -85,9 +103,7 @@ def cmd_unlearn(args) -> int:
     bundle = _bundle(cfg, args)
     baseline = _load_or_train_baseline(cfg, bundle, args)
     if args.gold:
-        if not Path(args.gold).exists():
-            raise hn.UserError(f"gold checkpoint not found: {args.gold}")
-        gold = md.load_checkpoint(args.gold)
+        gold = _checkpoint_for(bundle, args.gold, "gold checkpoint")
     else:
         gold = ul.hard_unlearn(
             bundle, hn._train_config(cfg, args.seed + hn.SEED_GOLD),
@@ -105,10 +121,8 @@ def cmd_unlearn(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args)
-    if not Path(args.checkpoint).exists():
-        raise hn.UserError(f"checkpoint not found: {args.checkpoint}")
     bundle = _bundle(cfg, args)
-    model = md.load_checkpoint(args.checkpoint)
+    model = _checkpoint_for(bundle, args.checkpoint)
     baseline = hn.load_report(args.baseline_report) if args.baseline_report else None
     report = fe.evaluate_model(model, bundle, baseline=baseline)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-eval")
@@ -152,10 +166,8 @@ def cmd_run(args) -> int:
 
 def cmd_saliency(args) -> int:
     cfg = _config(args)
-    if not Path(args.checkpoint).exists():
-        raise hn.UserError(f"checkpoint not found: {args.checkpoint}")
     bundle = _bundle(cfg, args)
-    model = md.load_checkpoint(args.checkpoint)
+    model = _checkpoint_for(bundle, args.checkpoint)
     samples = bundle.split(args.split)
     if args.limit is not None:
         if args.limit < 1:

@@ -116,9 +116,8 @@ def forward_stack(weights, X) -> ad.Tensor:
     h = X if isinstance(X, ad.Tensor) else ad.tensor(np.asarray(X, dtype=np.float64))
     if h.data.ndim != 2:
         raise ad.ShapeError(f"forward: inputs must be (n, d), got {h.shape}")
-    n = h.shape[0]
     for li, (W, b) in enumerate(weights):
-        h = ad.add(ad.matmul(h, ad.transpose(W)), ad.rowbcast(b, n))
+        h = ad.linear(h, W, b)
         if li < len(weights) - 1:
             h = ad.relu(h)
     return h

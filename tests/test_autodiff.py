@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unlearnlab import autodiff as ad
+from unlearnlab import biasgen as bg
+from unlearnlab import model as md
+from unlearnlab import unlearn as ul
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +227,109 @@ def test_product_rule_on_random_vectors(seed):
     ga, gb = ad.grad(out, [a, b])
     np.testing.assert_allclose(ga.data, b_val, atol=1e-12)
     np.testing.assert_allclose(gb.data, a_val, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The two backward modes and the fused linear layer.
+# ---------------------------------------------------------------------------
+
+def assert_modes_agree(build, wrt):
+    """Default (array) grads equal taped grads byte for byte."""
+    first = [g.data.tobytes() for g in ad.grad(build(), wrt)]
+    taped = [g.data.tobytes() for g in ad.grad(build(), wrt, create_graph=True)]
+    assert first == taped
+
+def trained_model(sizes, head, X, y, seed):
+    model = md.init_model(sizes, head, seed)
+    md.train(model, (X, y), md.TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2))
+    return model
+
+@pytest.mark.parametrize("head,sizes",
+                         [("softmax", [6, 10, 4]), ("sigmoid", [5, 7, 6, 1])])
+def test_first_order_grad_matches_taped_on_mlps(head, sizes):
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(24, sizes[0]))
+    y = rng.integers(0, 2 if head == "sigmoid" else sizes[-1], size=24)
+    model = trained_model(sizes, head, X, y, 41)
+    assert_modes_agree(lambda: md.loss(model, X, y), md.trainable_params(model))
+
+def test_first_order_grad_matches_taped_with_lora():
+    rng = np.random.default_rng(42)
+    X = rng.normal(size=(20, 6))
+    y = rng.integers(0, 3, size=20)
+    model = md.attach_lora(trained_model([6, 9, 3], "softmax", X, y, 43), [0, 1], 2, 44)
+    for adapter in model.adapters.values():
+        adapter.B.data = rng.normal(size=adapter.B.shape) * 0.3
+    assert_modes_agree(lambda: md.loss(model, X, y), md.trainable_params(model))
+
+@pytest.mark.parametrize("head,sizes", [("softmax", [6, 8, 3]), ("sigmoid", [6, 8, 1])])
+def test_first_order_grad_matches_taped_on_scrub_kl(head, sizes):
+    rng = np.random.default_rng(45)
+    X = rng.normal(size=(16, 6))
+    y = rng.integers(0, 2 if head == "sigmoid" else 3, size=16)
+    teacher = trained_model(sizes, head, X, y, 46)
+    student = md.init_model(sizes, head, 47)
+    p = md.predict_proba(teacher, X)
+    assert_modes_agree(
+        lambda: ul._kl_to_teacher(p, md.forward(student, X), head),
+        md.trainable_params(student),
+    )
+
+def test_first_order_grad_matches_taped_on_head_loss_closure():
+    bundle = bg.gen_attribute_bias(120, 3.0, seed=48)
+    X, y, _, _ = bg.stack(bundle.train)
+    model = trained_model([X.shape[1], 6, 1], "sigmoid", X, y, 49)
+    theta0, fn = ul.loss_closure(model, bundle.train, scope="head")
+    leaf = ad.tensor(theta0)
+    assert_modes_agree(lambda: fn(leaf), [leaf])
+
+def chain_layer(h, W, b):
+    return ad.add(ad.matmul(h, ad.transpose(W)), ad.rowbcast(b, h.shape[0]))
+
+def test_linear_is_bitwise_the_matmul_chain():
+    rng = np.random.default_rng(50)
+    X = ad.tensor(rng.normal(size=(12, 5)))
+    y = np.eye(3)[rng.integers(0, 3, size=12)]
+    shapes = [(4, 5), (4,), (3, 4), (3,)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    theta0 = rng.normal(size=sum(sizes))
+
+    def loss_with(layer):
+        def fn(flat):
+            pieces, pos = [], 0
+            for shp, size in zip(shapes, sizes):
+                pieces.append(ad.reshape(ad.narrow(flat, pos, size), shp))
+                pos += size
+            h = ad.relu(layer(X, pieces[0], pieces[1]))
+            logp = ad.log_softmax(layer(h, pieces[2], pieces[3]))
+            return ad.scale(ad.sum_all(ad.mul(ad.tensor(y), logp)), -1.0 / 12)
+        return fn
+
+    fused, chain = loss_with(ad.linear), loss_with(chain_layer)
+    leaf = ad.tensor(theta0)
+    assert fused(leaf).data.tobytes() == chain(leaf).data.tobytes()
+    for create_graph in (False, True):
+        (gf,) = ad.grad(fused(leaf), [leaf], create_graph=create_graph)
+        (gc,) = ad.grad(chain(leaf), [leaf], create_graph=create_graph)
+        assert gf.data.tobytes() == gc.data.tobytes()
+    v = rng.normal(size=theta0.shape)
+    assert (ad.hessian_vector_product(fused, leaf, v).data.tobytes()
+            == ad.hessian_vector_product(chain, leaf, v).data.tobytes())
+
+def test_linear_rejects_mismatched_operands():
+    h, W = ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 3)))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(h, W, ad.tensor(np.zeros(3)))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(ad.tensor(np.zeros((2, 4))), W, ad.tensor(np.zeros(4)))
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_nonfinite_gradient_of_finite_forward_is_hard_error():
+    a = ad.tensor(1e-300)
+    loss = ad.scale(ad.sum_all(ad.mul(a, ad.tensor(1e300))), 1e10)
+    assert np.isfinite(loss.data)
+    with pytest.raises(ad.NonFiniteError):
+        ad.grad(loss, [a])
 
 
 # ---------------------------------------------------------------------------

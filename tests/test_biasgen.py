@@ -267,6 +267,18 @@ def test_bundle_missing_sidecar_rejected(tmp_path):
     with pytest.raises(ValueError, match="sidecar"):
         bg.load_bundle(p)
 
+@pytest.mark.parametrize("split", ["val", "test"])
+def test_bundle_forget_flag_outside_train_rejected(tmp_path, split):
+    bundle = bg.gen_pose_bias(100, 3, 0.5, seed=27)
+    p = tmp_path / "bundle.csv"
+    bg.save_bundle(bundle, p)
+    lines = p.read_text().split("\n")
+    row = next(i for i, line in enumerate(lines) if line.endswith(f",{split},0"))
+    lines[row] = lines[row][: -len("0")] + "1"
+    p.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"bundle {p}: forget=1 on a {split} row"):
+        bg.load_bundle(p)
+
 
 # ---------------------------------------------------------------------------
 # Shortcut behavior, checked by training on the bundles.

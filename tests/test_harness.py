@@ -410,6 +410,39 @@ def test_cli_eval_missing_checkpoint(tiny_config, tmp_path, capsys):
     assert "ghost.ckpt" in capsys.readouterr().err
 
 
+def _stage_args(stage, config, checkpoint, out):
+    if stage == "unlearn":
+        return ["unlearn", "--config", str(config), "--strategy", "gradient_ascent",
+                "--baseline", str(checkpoint), "--out", str(out)]
+    return [stage, "--config", str(config), "--checkpoint", str(checkpoint),
+            "--out", str(out)]
+
+
+@pytest.mark.parametrize("stage", ["eval", "saliency", "unlearn"])
+def test_cli_corrupt_checkpoint_is_operator_error(tiny_config, tmp_path, capsys, stage):
+    ckpt = tmp_path / "torn.ckpt"
+    md.save_checkpoint(md.init_model([7, 8, 3], "softmax", 0), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    code = cli.main(_stage_args(stage, tiny_config, ckpt, tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "torn.ckpt" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("stage", ["eval", "saliency", "unlearn"])
+@pytest.mark.parametrize("width_delta,classes", [(1, 3), (0, 4)])
+def test_cli_checkpoint_shape_mismatch_is_operator_error(
+        tiny_config, tmp_path, capsys, stage, width_delta, classes):
+    bundle = hn.build_bundle(hn.load_config(tiny_config), 1)
+    width = bundle.d_s + bundle.d_b + width_delta
+    ckpt = tmp_path / "other.ckpt"
+    md.save_checkpoint(md.init_model([width, 8, classes], "softmax", 0), ckpt)
+    code = cli.main(_stage_args(stage, tiny_config, ckpt, tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "other.ckpt" in err and "internal error" not in err
+
+
 def test_cli_unlearn_strategy_must_be_configured(tiny_config, tmp_path, capsys):
     code = cli.main(["unlearn", "--config", str(tiny_config), "--strategy",
                      "scrub", "--out", str(tmp_path / "o")])
