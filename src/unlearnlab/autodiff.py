@@ -13,6 +13,11 @@ in the same order, so both give bitwise-identical gradients:
 - an array vjp on plain ndarrays. The default first-order ``grad`` uses it and
   builds no nodes at all.
 
+Neither the forward pass nor the taped first gradient depends on the vector,
+so ``hvp_operator`` builds them once per operator, and each product it applies
+is a single first-order pass back through them. A CG solve builds one operator
+and applies it once per iteration.
+
 Scalars are 0-d arrays. Shapes are strict; there is no general broadcasting,
 only the explicit row/column broadcast primitives the models need. Any
 non-finite value produced by a forward operation is a hard error. A first-order
@@ -476,28 +481,46 @@ def backward(output: Tensor) -> None:
         leaf.grad = g.data
 
 
+def hvp_operator(
+    loss_fn: Callable[[Tensor], Tensor], params: Tensor
+) -> Callable[[np.ndarray | Tensor], Tensor]:
+    """The map v -> H v for the exact Hessian H of ``loss_fn`` at ``params``.
+
+    ``loss_fn`` must build a fresh scalar graph from the given parameter
+    tensor. The forward pass and the taped first gradient g are built once,
+    here. Each call of the returned function differentiates <g, v>, with v held
+    constant, by one first-order pass back to ``params``, so a CG solve pays
+    for the forward pass and the taped gradient once, not per product. The
+    products are exact up to floating point, not finite differences, and
+    bitwise equal to building everything afresh for each v.
+    """
+    loss = loss_fn(params)
+    if loss.data.ndim != 0:
+        raise ShapeError("hvp_operator: loss_fn must return a scalar")
+    (g,) = grad(loss, [params], create_graph=True)
+
+    def apply(v: np.ndarray | Tensor) -> Tensor:
+        v_arr = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+        if v_arr.shape != params.shape:
+            raise ShapeError(
+                f"hvp_operator: v shape {v_arr.shape} vs params {params.shape}"
+            )
+        (hv,) = grad(sum_all(mul(g, Tensor(v_arr))), [params])
+        return hv
+
+    return apply
+
+
 def hessian_vector_product(
     loss_fn: Callable[[Tensor], Tensor], params: Tensor, v: np.ndarray | Tensor
 ) -> Tensor:
-    """Exact H v for the Hessian of ``loss_fn`` at ``params``.
+    """Exact H v for the Hessian of ``loss_fn`` at ``params``: one forward
+    pass, one taped gradient and one first-order pass through it.
 
-    ``loss_fn`` must build a fresh scalar graph from the given parameter
-    tensor. The product is the gradient of <grad(loss), v> with v held
-    constant, so it is exact up to floating point, not a finite difference:
-    a taped first gradient, then a first-order pass through it.
+    For many products at the same ``params``, build :func:`hvp_operator` once
+    and apply it to each vector instead.
     """
-    v_arr = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-    if v_arr.shape != params.shape:
-        raise ShapeError(
-            f"hessian_vector_product: v shape {v_arr.shape} vs params {params.shape}"
-        )
-    loss = loss_fn(params)
-    if loss.data.ndim != 0:
-        raise ShapeError("hessian_vector_product: loss_fn must return a scalar")
-    (g,) = grad(loss, [params], create_graph=True)
-    inner = sum_all(mul(g, Tensor(v_arr)))
-    (hv,) = grad(inner, [params])
-    return hv
+    return hvp_operator(loss_fn, params)(v)
 
 
 @dataclass
@@ -556,7 +579,7 @@ def cg_solve(
         alpha = rs / denom
         x = x + alpha * p
         r = r - alpha * hp
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise NonFiniteError(f"cg_solve: non-finite residual at iteration {i}")
         rs_new = float(r @ r)
         history.append(float(np.sqrt(rs_new)))

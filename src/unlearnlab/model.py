@@ -14,6 +14,7 @@ float64 payload of every array in header order. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -68,8 +69,7 @@ class TrainConfig:
     seed: int = 0
 
 
-def init_model(layer_sizes: list[int], head: str, seed: int) -> ModelParams:
-    """Fresh model with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+def _check_architecture(layer_sizes: list[int], head: str) -> None:
     if head not in HEADS:
         raise ValueError(f"unknown head kind {head!r}; expected one of {HEADS}")
     if len(layer_sizes) < 2 or any(s < 1 for s in layer_sizes):
@@ -78,6 +78,11 @@ def init_model(layer_sizes: list[int], head: str, seed: int) -> ModelParams:
         raise ValueError("sigmoid head requires a single output logit")
     if head == "softmax" and layer_sizes[-1] < 2:
         raise ValueError("softmax head requires >= 2 output logits")
+
+
+def init_model(layer_sizes: list[int], head: str, seed: int) -> ModelParams:
+    """Fresh model with uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+    _check_architecture(layer_sizes, head)
     rng = np.random.default_rng(seed)
     layers = []
     for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -389,7 +394,37 @@ def save_checkpoint(model: ModelParams, path) -> None:
         fh.write(payload)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_dims(x) -> bool:
+    return isinstance(x, list) and all(_is_int(d) and d >= 0 for d in x)
+
+
+# What a well-formed header holds under each key, beyond "format".
+_HEADER_FIELDS = {
+    "head": lambda v: isinstance(v, str),
+    "layer_sizes": _is_dims,
+    "seed": _is_int,
+    "frozen_base": lambda v: isinstance(v, bool),
+    "adapters": lambda v: isinstance(v, list) and all(
+        isinstance(m, dict) and _is_int(m.get("layer")) and _is_int(m.get("rank"))
+        for m in v),
+    "arrays": lambda v: isinstance(v, list) and all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and _is_dims(e.get("shape"))
+        for e in v),
+}
+
+
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Anything malformed raises ValueError naming the file: a header that is
+    not JSON or lacks a field, a payload of the wrong length, arrays whose
+    shapes do not fit the header's layer sizes and adapters, or non-finite
+    values.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     newline = raw.find(b"\n")
@@ -399,39 +434,59 @@ def load_checkpoint(path) -> ModelParams:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"checkpoint {path}: corrupted header ({e})") from e
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint {path}: header is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint {path}: unknown format {header.get('format')!r}")
+    for key, well_formed in _HEADER_FIELDS.items():
+        if key not in header or not well_formed(header[key]):
+            raise ValueError(f"checkpoint {path}: header field {key!r} missing or malformed")
+    sizes, head = header["layer_sizes"], header["head"]
+    try:
+        _check_architecture(sizes, head)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e
+
     payload = raw[newline + 1 :]
-    expected = sum(int(np.prod(a["shape"])) for a in header["arrays"]) * 8
+    entries = header["arrays"]
+    expected = sum(math.prod(e["shape"]) for e in entries) * 8
     if len(payload) != expected:
         raise ValueError(
             f"checkpoint {path}: payload has {len(payload)} bytes, header implies {expected}"
         )
-
     arrays = {}
     pos = 0
-    for entry in header["arrays"]:
-        size = int(np.prod(entry["shape"]))
+    for entry in entries:
+        size = math.prod(entry["shape"])
         chunk = np.frombuffer(payload, dtype="<f8", count=size, offset=pos)
         arrays[entry["name"]] = chunk.reshape(entry["shape"]).astype(np.float64)
         pos += size * 8
 
-    try:
-        n_layers = len(header["layer_sizes"]) - 1
-        layers = [
-            (ad.tensor(arrays[f"layer{i}.weight"]), ad.tensor(arrays[f"layer{i}.bias"]))
-            for i in range(n_layers)
-        ]
-        model = ModelParams(
-            layers=layers, head=header["head"], seed=int(header["seed"]),
-            frozen_base=bool(header.get("frozen_base", False)),
-        )
-        for meta in header.get("adapters", []):
-            i = int(meta["layer"])
-            model.adapters[i] = LoraAdapter(
-                i, int(meta["rank"]), ad.tensor(arrays[f"adapter{i}.A"]),
-                ad.tensor(arrays[f"adapter{i}.B"]),
-            )
-    except KeyError as e:
-        raise ValueError(f"checkpoint {path}: header names missing array {e}") from e
+    def array(name: str, shape: tuple[int, ...]) -> ad.Tensor:
+        arr = arrays.get(name)
+        if arr is None:
+            raise ValueError(f"checkpoint {path}: header names no array {name!r}")
+        if arr.shape != shape:
+            raise ValueError(
+                f"checkpoint {path}: array {name!r} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"checkpoint {path}: array {name!r} holds non-finite values")
+        return ad.tensor(arr)
+
+    layers = [
+        (array(f"layer{i}.weight", (d_out, d_in)), array(f"layer{i}.bias", (d_out,)))
+        for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:]))
+    ]
+    model = ModelParams(layers=layers, head=head, seed=header["seed"],
+                        frozen_base=header["frozen_base"])
+    for meta in header["adapters"]:
+        i, rank = meta["layer"], meta["rank"]
+        if not 0 <= i < len(layers) or rank < 1:
+            raise ValueError(
+                f"checkpoint {path}: adapter {meta} does not fit a {len(layers)}-layer model")
+        d_out, d_in = layers[i][0].shape
+        model.adapters[i] = LoraAdapter(
+            i, rank, array(f"adapter{i}.A", (d_out, rank)), array(f"adapter{i}.B", (rank, d_in)))
+    if [e["name"] for e in entries] != [name for name, _ in _array_manifest(model)]:
+        raise ValueError(f"checkpoint {path}: header lists arrays the model does not use")
     return model

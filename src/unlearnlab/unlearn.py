@@ -7,7 +7,10 @@ fresh parameter set with a per-step loss trace. Compute is accounted in
 deterministic cost units: a backward pass over a batch of n samples costs n,
 a Hessian-vector product costs 2n (it is a double backward). Reports built
 from these units are identical across reruns, unlike wall-clock times, which
-are recorded separately.
+are recorded separately. Cost units count work in the algorithm's terms and
+do not measure time: a CG solve builds its Hessian-vector operator once and
+then runs one first-order pass per product, yet each product still counts 2n,
+so FMD's cost stays n_c * (1 + 2 * iterations).
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def gradient_ascent(
             p.data = p.data + cfg.eta * g.data
         cost += len(forget) + batch
 
-        post = _mean_loss(work, forget)
+        post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
         finite = np.isfinite(post) and all(np.isfinite(p.data).all() for p in params)
         if not finite or post > FORGET_LOSS_CEILING:
             for p, s in zip(params, snapshot):
@@ -387,10 +390,9 @@ def influence(
     leaf = ad.tensor(theta0)
     (g_bias,) = ad.grad(bias_measure(leaf), [leaf])
 
-    hvp_leaf = ad.tensor(theta0)
+    hvp = ad.hvp_operator(train_fn, ad.tensor(theta0))
     solve = ad.cg_solve(
-        lambda v: ad.hessian_vector_product(train_fn, hvp_leaf, v).data,
-        g_bias.data, damping=damping, max_iter=max_iter, tol=tol,
+        lambda v: hvp(v).data, g_bias.data, damping=damping, max_iter=max_iter, tol=tol,
     )
 
     _, sample_fn = loss_closure(model, [sample], scope)
@@ -431,12 +433,11 @@ def newton_unlearn_step(
     (g,) = ad.grad(loss_fn(leaf), [leaf])
     grad_vec = g.data
 
-    hvp_leaf = ad.tensor(theta0)
     fallback = False
     try:
+        hvp = ad.hvp_operator(loss_fn, ad.tensor(theta0))
         solve = ad.cg_solve(
-            lambda v: ad.hessian_vector_product(loss_fn, hvp_leaf, v).data,
-            grad_vec, damping=damping, max_iter=max_iter, tol=tol,
+            lambda v: hvp(v).data, grad_vec, damping=damping, max_iter=max_iter, tol=tol,
         )
         step = solve.x
         converged, iterations, residual = solve.converged, solve.iterations, solve.residual_norm

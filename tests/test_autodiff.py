@@ -400,6 +400,51 @@ def test_hvp_shape_mismatch_rejected():
         )
 
 
+def fresh_hvp(fn, theta0, v):
+    """H v built from scratch: a taped gradient, then a first-order pass."""
+    leaf = ad.tensor(theta0)
+    (g,) = ad.grad(fn(leaf), [leaf], create_graph=True)
+    (hv,) = ad.grad(ad.sum_all(ad.mul(g, ad.tensor(v))), [leaf])
+    return hv.data.tobytes()
+
+def closure_case(case):
+    """(theta0, fn) from unlearn.loss_closure on a briefly trained model."""
+    if case.startswith("softmax"):
+        bundle, head, outputs = bg.gen_patch_bias(30, 3, 0, 0.5, 2.5, seed=60), "softmax", 3
+    else:
+        bundle, head, outputs = bg.gen_attribute_bias(90, 3.0, seed=61), "sigmoid", 1
+    X, y, _, _ = bg.stack(bundle.train)
+    model = trained_model([X.shape[1], 6, outputs], head, X, y, 62)
+    return ul.loss_closure(model, bundle.train, scope=case.split("-")[1])
+
+@pytest.mark.parametrize("case", ["softmax-head", "sigmoid-head", "softmax-all"])
+def test_hvp_operator_is_bitwise_a_fresh_product(case):
+    theta0, fn = closure_case(case)
+    hvp = ad.hvp_operator(fn, ad.tensor(theta0))
+    rng = np.random.default_rng(63)
+    for _ in range(3):
+        v = rng.normal(size=theta0.shape)
+        expected = fresh_hvp(fn, theta0, v)
+        assert hvp(v).data.tobytes() == expected
+        assert ad.hessian_vector_product(fn, ad.tensor(theta0), v).data.tobytes() == expected
+
+def test_hvp_operator_products_do_not_leak_state():
+    theta0, fn = closure_case("softmax-all")
+    hvp = ad.hvp_operator(fn, ad.tensor(theta0))
+    rng = np.random.default_rng(64)
+    u, v = rng.normal(size=theta0.shape), rng.normal(size=theta0.shape)
+    first = hvp(u).data.tobytes()
+    hvp(v)
+    assert hvp(u).data.tobytes() == first
+
+def test_hvp_operator_shape_checks():
+    hvp = ad.hvp_operator(quadratic_loss(np.eye(3)), ad.tensor(np.ones(3)))
+    with pytest.raises(ad.ShapeError):
+        hvp(np.ones(4))
+    with pytest.raises(ad.ShapeError):
+        ad.hvp_operator(lambda t: ad.mul(t, t), ad.tensor(np.ones(3)))
+
+
 # ---------------------------------------------------------------------------
 # Conjugate gradients.
 # ---------------------------------------------------------------------------

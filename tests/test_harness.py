@@ -429,6 +429,29 @@ def test_cli_corrupt_checkpoint_is_operator_error(tiny_config, tmp_path, capsys,
     assert "torn.ckpt" in err and "internal error" not in err
 
 
+MALFORMED_HEADERS = {
+    "no-arrays": lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    "list-header": lambda h: [h],
+    "string-shape": lambda h: {**h, "arrays": [{**h["arrays"][0], "shape": "8x7"},
+                                               *h["arrays"][1:]]},
+}
+
+
+@pytest.mark.parametrize("stage", ["eval", "saliency", "unlearn"])
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_cli_malformed_checkpoint_header_is_operator_error(
+        tiny_config, tmp_path, capsys, stage, edit):
+    ckpt = tmp_path / "odd.ckpt"
+    md.save_checkpoint(md.init_model([7, 8, 3], "softmax", 0), ckpt)
+    raw = ckpt.read_bytes()
+    cut = raw.find(b"\n")
+    ckpt.write_bytes(json.dumps(edit(json.loads(raw[:cut]))).encode() + raw[cut:])
+    code = cli.main(_stage_args(stage, tiny_config, ckpt, tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "odd.ckpt" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("stage", ["eval", "saliency", "unlearn"])
 @pytest.mark.parametrize("width_delta,classes", [(1, 3), (0, 4)])
 def test_cli_checkpoint_shape_mismatch_is_operator_error(

@@ -4,9 +4,11 @@ SVD, so neither rests on the trainer under test."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from unlearnlab import autodiff as ad
@@ -241,3 +243,84 @@ def test_checkpoint_truncated_payload_rejected(tmp_path):
     p.write_bytes(p.read_bytes()[:-8])
     with pytest.raises(ValueError, match="bytes"):
         md.load_checkpoint(p)
+
+
+def save_with_adapter(path):
+    m = md.init_model([3, 4, 2], "softmax", seed=33)
+    md.attach_lora(m, [0], rank=1, seed=34)
+    md.save_checkpoint(m, path)
+    return path.read_bytes()
+
+def rewrite_header(path, edit):
+    raw = path.read_bytes()
+    cut = raw.find(b"\n")
+    path.write_bytes(json.dumps(edit(json.loads(raw[:cut]))).encode() + raw[cut:])
+
+def replace_field(key, value):
+    return lambda h: {**h, key: value}
+
+def drop_field(key):
+    return lambda h: {k: v for k, v in h.items() if k != key}
+
+def edit_array(i, **changes):
+    return lambda h: {**h, "arrays": [
+        {**e, **changes} if j == i else e for j, e in enumerate(h["arrays"])]}
+
+MALFORMED_HEADERS = {
+    "no-arrays": drop_field("arrays"),
+    "list-header": lambda h: [h],
+    "string-shape": edit_array(0, shape="4x3"),
+    "negative-shape": edit_array(0, shape=[-2, -6]),
+    "transposed-weight": edit_array(0, shape=[3, 4]),
+    "renamed-array": edit_array(1, name="layer0.offset"),
+    "no-layer-sizes": drop_field("layer_sizes"),
+    "layer-sizes-disagree": replace_field("layer_sizes", [4, 3, 2]),
+    "unknown-head": replace_field("head", "tanh"),
+    "sigmoid-head-two-logits": replace_field("head", "sigmoid"),
+    "string-seed": replace_field("seed", "33"),
+    "adapter-on-missing-layer": replace_field("adapters", [{"layer": 5, "rank": 1}]),
+    "adapter-not-listed": replace_field("adapters", []),
+    "adapter-without-rank": replace_field("adapters", [{"layer": 0}]),
+}
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_checkpoint_malformed_header_rejected(tmp_path, edit):
+    p = tmp_path / "odd.ckpt"
+    save_with_adapter(p)
+    rewrite_header(p, edit)
+    with pytest.raises(ValueError, match="odd.ckpt"):
+        md.load_checkpoint(p)
+
+def test_checkpoint_nonfinite_payload_rejected(tmp_path):
+    p = tmp_path / "nan.ckpt"
+    raw = save_with_adapter(p)
+    p.write_bytes(raw[:-8] + np.array([np.nan], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="non-finite"):
+        md.load_checkpoint(p)
+
+@given(st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_checkpoint_truncated_anywhere_rejected(tmp_path, data):
+    p = tmp_path / "cut.ckpt"
+    raw = save_with_adapter(p)
+    p.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(ValueError, match="cut.ckpt"):
+        md.load_checkpoint(p)
+
+@given(st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_checkpoint_bit_flip_loads_or_is_rejected(tmp_path, data):
+    """A flipped bit either leaves a loadable model (a changed seed or
+    weight) or raises ValueError, never another exception."""
+    p = tmp_path / "flip.ckpt"
+    raw = bytearray(save_with_adapter(p))
+    raw[data.draw(st.integers(0, len(raw) - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    p.write_bytes(bytes(raw))
+    try:
+        loaded = md.load_checkpoint(p)
+    except ValueError as e:
+        assert "flip.ckpt" in str(e)
+    else:
+        assert loaded.layer_sizes == [3, 4, 2] and set(loaded.adapters) == {0}

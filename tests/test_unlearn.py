@@ -366,6 +366,28 @@ def test_influence_reports_nonconvergence():
 # Newton step.
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("max_iter", [2, 200])
+def test_one_taped_gradient_per_cg_solve(monkeypatch, patch_setup, max_iter):
+    bundle, baseline = patch_setup
+    forget = bg.forget_samples(bundle)
+    _, bias_fn = ul.loss_closure(baseline, forget, "head")
+    theta0, train_fn = ul.loss_closure(baseline, bundle.train, "head")
+    taped = []
+    real_grad = ad.grad
+
+    def counting_grad(output, wrt, create_graph=False):
+        taped.append(create_graph)
+        return real_grad(output, wrt, create_graph)
+
+    monkeypatch.setattr(ad, "grad", counting_grad)
+    result = ul.influence(baseline, forget[0], bias_fn, bundle.train,
+                          scope="head", max_iter=max_iter)
+    assert result.iterations >= 2 and taped.count(True) == 1
+    taped.clear()
+    _, info = ul.newton_unlearn_step(train_fn, theta0, max_iter=max_iter)
+    assert info.iterations >= 2 and not info.fallback and taped.count(True) == 1
+
+
 def test_newton_quadratic_one_step_exact():
     rng = np.random.default_rng(4)
     dim = 8
