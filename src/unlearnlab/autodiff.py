@@ -42,6 +42,11 @@ class NonFiniteError(FloatingPointError):
     """A NaN or infinity appeared in an operation's result."""
 
 
+class IndefiniteError(ArithmeticError):
+    """A CG operator showed non-positive curvature: the damped system is not
+    positive definite, although every value is finite."""
+
+
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op}: result contains non-finite values")
@@ -52,11 +57,10 @@ class Tensor:
 
     ``vjp`` maps the gradient flowing into this node to gradients for each
     parent, building new graph nodes as it goes; ``array_vjp`` does the same
-    arithmetic on plain arrays. Leaves have no parents; their ``grad`` field
-    is populated by :func:`backward`.
+    arithmetic on plain arrays. Leaves have no parents.
     """
 
-    __slots__ = ("data", "parents", "op", "vjp", "array_vjp", "grad", "__weakref__")
+    __slots__ = ("data", "parents", "op", "vjp", "array_vjp", "__weakref__")
 
     def __init__(self, data, parents=(), op="leaf", vjp=None, array_vjp=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -66,7 +70,6 @@ class Tensor:
         self.op = op
         self.vjp: Callable | None = vjp
         self.array_vjp: Callable | None = array_vjp
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -473,14 +476,6 @@ def grad(
     return out
 
 
-def backward(output: Tensor) -> None:
-    """Populate ``grad`` on every leaf reachable from a scalar output."""
-    graph = trace(output)
-    leaves = [n for n in graph.nodes if not n.parents]
-    for leaf, g in zip(leaves, grad(output, leaves)):
-        leaf.grad = g.data
-
-
 def hvp_operator(
     loss_fn: Callable[[Tensor], Tensor], params: Tensor
 ) -> Callable[[np.ndarray | Tensor], Tensor]:
@@ -546,6 +541,8 @@ def cg_solve(
     ``apply_h`` computes H v for a 1-d vector; H must be symmetric positive
     semidefinite for the damped system to be SPD. Stops when the residual norm
     falls to tol * ||rhs|| or after max_iter iterations, and reports which.
+    Non-positive curvature along a search direction raises IndefiniteError; a
+    NaN or infinity raises NonFiniteError.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 1:
@@ -572,9 +569,11 @@ def cg_solve(
     for i in range(1, max_iter + 1):
         hp = matvec(p)
         denom = float(p @ hp)
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise NonFiniteError(
-                f"cg_solve: curvature {denom} at iteration {i}; operator not SPD?"
+        if not np.isfinite(denom):
+            raise NonFiniteError(f"cg_solve: non-finite curvature at iteration {i}")
+        if denom <= 0.0:
+            raise IndefiniteError(
+                f"cg_solve: curvature {denom} at iteration {i}; operator not SPD"
             )
         alpha = rs / denom
         x = x + alpha * p

@@ -12,6 +12,9 @@ the label, and bias features b that carry the shortcut. Three constructions:
 - pose: a continuous scale scalar appended to b; samples are binned by train
   terciles of scale and the class distribution inside the top bin is skewed.
 
+Each kind is one Scenario record in SCENARIOS, so adding a kind takes a
+gen_* function and one record.
+
 Splits are 70/10/20 with floor rounding. The forget set D_f is always a set
 of train indices; D_r is its complement. Bundles serialize to a columnar text
 file (one header line, one row per sample) plus a JSON sidecar for the
@@ -23,10 +26,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-KINDS = ("patch", "attribute", "pose")
 SPLITS = ("train", "val", "test")
 
 
@@ -112,7 +115,7 @@ def gen_patch_bias(
     n_per_class: int,
     n_classes: int,
     target_class: int,
-    p: float,
+    patch_fraction: float,
     marker_value: float,
     seed: int,
     d_s: int = 16,
@@ -121,7 +124,8 @@ def gen_patch_bias(
     confuser_class: int | None = None,
     confuser_scale: float = 2.0,
 ) -> DataBundle:
-    """Marker shortcut: floor(p * n_train_target) flagged target-class train rows.
+    """Marker shortcut: floor(patch_fraction * n_train_target) flagged
+    target-class train rows.
 
     Flagged rows form their own s-cluster centered on confuser_scale times the
     confuser class's mean (an exaggerated confuser, away from every clean
@@ -136,8 +140,8 @@ def gen_patch_bias(
         raise ValueError("need at least 2 classes")
     if not 0 <= target_class < n_classes:
         raise ValueError(f"target_class {target_class} outside [0, {n_classes})")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"patch fraction p={p} outside [0, 1]")
+    if not 0.0 <= patch_fraction <= 1.0:
+        raise ValueError(f"patch_fraction={patch_fraction} outside [0, 1]")
     if not np.isfinite(marker_value):
         raise ValueError("marker_value must be finite")
     if n_per_class < 10:
@@ -181,7 +185,7 @@ def gen_patch_bias(
         sample.bias_flag = True
 
     train_target = [i for i, smp in enumerate(splits["train"]) if smp.label == target_class]
-    n_flag = int(np.floor(p * len(train_target)))
+    n_flag = int(np.floor(patch_fraction * len(train_target)))
     chosen = rng.choice(len(train_target), size=n_flag, replace=False)
     for j in sorted(chosen):
         flag(splits["train"][train_target[j]])
@@ -199,8 +203,8 @@ def gen_patch_bias(
         forget_idx=forget_idx, seed=seed,
         meta={
             "target_class": target_class, "confuser_class": confuser_class,
-            "p": p, "marker_value": float(marker_value), "class_sep": class_sep,
-            "confuser_scale": confuser_scale,
+            "p": patch_fraction, "marker_value": float(marker_value),
+            "class_sep": class_sep, "confuser_scale": confuser_scale,
         },
     )
 
@@ -357,39 +361,71 @@ def gen_pose_bias(
 # Counterfactuals.
 # ---------------------------------------------------------------------------
 
-def build_counterfactual(bundle: DataBundle, mode: str, seed: int) -> list[Sample]:
-    """Counterfactual set D_c derived from the bundle; also attached to it.
+def _mask_patch(bundle: DataBundle, rng: np.random.Generator) -> list[Sample]:
+    """Forget rows in order: bit-exact s, fresh b noise, labels kept."""
+    return [Sample(smp.s.copy(), rng.normal(size=bundle.d_b), smp.label, 0, False)
+            for smp in forget_samples(bundle)]
 
-    mask_patch (patch bundles): bit-exact s, fresh noise in place of the
-    marker, labels kept. rebalance_bins (pose bundles): resample train
-    samples to uniform bin marginals, (s, label) untouched.
-    """
-    rng = np.random.default_rng(seed)
-    if mode == "mask_patch":
-        if bundle.kind != "patch":
-            raise ValueError(f"mask_patch requires a patch bundle, got {bundle.kind!r}")
-        d_c = []
-        for smp in forget_samples(bundle):
-            d_c.append(
-                Sample(smp.s.copy(), rng.normal(size=bundle.d_b), smp.label, 0, False)
-            )
-    elif mode == "rebalance_bins":
-        if bundle.kind != "pose":
-            raise ValueError(f"rebalance_bins requires a pose bundle, got {bundle.kind!r}")
-        per_bin = len(bundle.train) // 3
-        d_c = []
-        for bin_id in range(3):
-            members = [smp for smp in bundle.train if smp.group == bin_id]
-            if not members:
-                raise ValueError(f"bin {bin_id} is empty; cannot rebalance")
-            picks = rng.integers(0, len(members), size=per_bin)
-            for j in picks:
-                src = members[j]
-                d_c.append(Sample(src.s.copy(), src.b.copy(), src.label, src.group, src.bias_flag))
-    else:
-        raise ValueError(f"unknown counterfactual mode {mode!r}")
-    bundle.counterfactual = d_c
+
+def _rebalance_bins(bundle: DataBundle, rng: np.random.Generator) -> list[Sample]:
+    """Train rows resampled to uniform bin marginals, (s, label) untouched."""
+    per_bin = len(bundle.train) // 3
+    d_c = []
+    for bin_id in range(3):
+        members = [smp for smp in bundle.train if smp.group == bin_id]
+        if not members:
+            raise ValueError(f"bin {bin_id} is empty; cannot rebalance")
+        for j in rng.integers(0, len(members), size=per_bin):
+            src = members[j]
+            d_c.append(Sample(src.s.copy(), src.b.copy(), src.label, src.group, src.bias_flag))
     return d_c
+
+
+def build_counterfactual(bundle: DataBundle, seed: int) -> list[Sample]:
+    """D_c by the bundle's scenario recipe; also attached to the bundle."""
+    recipe = SCENARIOS[bundle.kind].counterfactual
+    if recipe is None:
+        raise ValueError(f"no counterfactual recipe for {bundle.kind!r} bundles")
+    bundle.counterfactual = recipe(bundle, np.random.default_rng(seed))
+    return bundle.counterfactual
+
+
+# ---------------------------------------------------------------------------
+# Scenario records.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Scenario:
+    """One kind of bundle. generator names its gen_* function, looked up on
+    this module at each call. Its parameters other than seed are the
+    [scenario] keys, required unless defaulted; without an n_classes
+    parameter the task is binary. Group metrics binarize classes by
+    membership in positive_classes(meta) and groups by equality with
+    sensitive_group; eo_policy is equalized_odds_gap's on_missing policy.
+    counterfactual(bundle, rng) builds FMD's D_c. paired_counterfactual:
+    row i of D_c is forget row i with its bias block altered."""
+
+    generator: str
+    positive_classes: Callable[[dict], list]
+    sensitive_group: int
+    eo_policy: str
+    counterfactual: Callable[[DataBundle, np.random.Generator], list[Sample]] | None = None
+    paired_counterfactual: bool = False
+
+    @property
+    def generate(self) -> Callable[..., DataBundle]:
+        return globals()[self.generator]
+
+
+SCENARIOS = {
+    # The flagged group never carries negative labels, so strict EO would refuse.
+    "patch": Scenario("gen_patch_bias", lambda meta: [meta["target_class"]], 1,
+                      "available", _mask_patch, paired_counterfactual=True),
+    "attribute": Scenario("gen_attribute_bias", lambda meta: [1], 1, "raise"),
+    # Groups are scale bins {0, 1, 2}; the sensitive attribute is the top bin.
+    "pose": Scenario("gen_pose_bias", lambda meta: meta["favored_classes"], 2,
+                     "raise", _rebalance_bins),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +466,8 @@ def load_bundle(path) -> DataBundle:
     if not sidecar_path.exists():
         raise ValueError(f"bundle sidecar {sidecar_path} is missing")
     sidecar = json.loads(sidecar_path.read_text())
+    if sidecar["kind"] not in SCENARIOS:
+        raise ValueError(f"bundle {path}: unknown scenario kind {sidecar['kind']!r}")
     d_s, d_b = int(sidecar["d_s"]), int(sidecar["d_b"])
 
     lines = path.read_text().strip().split("\n")

@@ -40,10 +40,6 @@ def _config(args) -> hn.ExperimentConfig:
     return hn.load_config(args.config)
 
 
-def _bundle(cfg: hn.ExperimentConfig, args) -> bg.DataBundle:
-    return hn.build_bundle(cfg, args.seed)
-
-
 def _checkpoint_for(bundle: bg.DataBundle, path,
                     role: str = "checkpoint") -> md.ModelParams:
     """Load a checkpoint, rejecting a missing or corrupt file or one whose
@@ -72,7 +68,7 @@ def _load_or_train_baseline(cfg, bundle, args):
 
 def cmd_generate(args) -> int:
     cfg = _config(args)
-    bundle = _bundle(cfg, args)
+    bundle = hn.build_bundle(cfg, args.seed)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-generate")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "bundle.csv"
@@ -84,7 +80,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config(args)
-    bundle = _bundle(cfg, args)
+    bundle = hn.build_bundle(cfg, args.seed)
     model, wall, units = hn.train_baseline(cfg, bundle, args.seed)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-train")
     out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +96,7 @@ def cmd_unlearn(args) -> int:
         raise hn.UserError(
             f"strategy {args.strategy!r} is not listed in {cfg.name}'s config "
             f"(has: {', '.join(cfg.strategies)})")
-    bundle = _bundle(cfg, args)
+    bundle = hn.build_bundle(cfg, args.seed)
     baseline = _load_or_train_baseline(cfg, bundle, args)
     if args.gold:
         gold = _checkpoint_for(bundle, args.gold, "gold checkpoint")
@@ -121,7 +117,7 @@ def cmd_unlearn(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config(args)
-    bundle = _bundle(cfg, args)
+    bundle = hn.build_bundle(cfg, args.seed)
     model = _checkpoint_for(bundle, args.checkpoint)
     baseline = hn.load_report(args.baseline_report) if args.baseline_report else None
     report = fe.evaluate_model(model, bundle, baseline=baseline)
@@ -166,7 +162,7 @@ def cmd_run(args) -> int:
 
 def cmd_saliency(args) -> int:
     cfg = _config(args)
-    bundle = _bundle(cfg, args)
+    bundle = hn.build_bundle(cfg, args.seed)
     model = _checkpoint_for(bundle, args.checkpoint)
     samples = bundle.split(args.split)
     if args.limit is not None:
@@ -208,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("train", cmd_train, "train the biased baseline")
     p = add("unlearn", cmd_unlearn, "run one unlearning strategy")
     p.add_argument("--strategy", required=True,
-                   choices=sorted(hn.STRATEGY_LABELS))
+                   choices=sorted(ul.POST_HOC_STRATEGIES))
     p.add_argument("--baseline", help="baseline checkpoint to start from "
                    "(default: retrain in place)")
     p.add_argument("--gold", help="gold checkpoint for scrub's teacher "

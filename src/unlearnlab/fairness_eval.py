@@ -183,25 +183,14 @@ def saliency(model: md.ModelParams, sample: bg.Sample) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def binarize_predictions(bundle: bg.DataBundle, preds: np.ndarray) -> np.ndarray:
-    """Map raw predicted classes to the scenario's positive-class indicator."""
-    if bundle.kind == "patch":
-        return (preds == bundle.meta["target_class"]).astype(np.int64)
-    if bundle.kind == "attribute":
-        return preds.astype(np.int64)
-    if bundle.kind == "pose":
-        return np.isin(preds, bundle.meta["favored_classes"]).astype(np.int64)
-    raise ValueError(f"unknown bundle kind {bundle.kind!r}")
-
-
-def binarize_labels(bundle: bg.DataBundle, labels: np.ndarray) -> np.ndarray:
-    return binarize_predictions(bundle, labels)
+    """Map raw classes (predicted or true) to the scenario's positive-class indicator."""
+    positive = bg.SCENARIOS[bundle.kind].positive_classes(bundle.meta)
+    return np.isin(preds, positive).astype(np.int64)
 
 
 def binarize_groups(bundle: bg.DataBundle, groups: np.ndarray) -> np.ndarray:
-    """Pose groups are bins {0,1,2}; the sensitive attribute is top-bin membership."""
-    if bundle.kind == "pose":
-        return (groups == 2).astype(np.int64)
-    return groups.astype(np.int64)
+    """Membership in the scenario's sensitive group."""
+    return (groups == bg.SCENARIOS[bundle.kind].sensitive_group).astype(np.int64)
 
 
 def evaluate_model(
@@ -211,12 +200,8 @@ def evaluate_model(
     time_units: float = 0.0,
     baseline: EvalReport | None = None,
 ) -> EvalReport:
-    """FA on D_f, RA on D_r, TA on test, DP/EO/MIA on the scenario's terms.
-
-    The patch scenario's flagged group never carries negative labels, so its
-    EO uses the available-components policy; the other scenarios populate
-    every cell and use the strict one.
-    """
+    """FA on D_f, RA on D_r, TA on test, DP/EO/MIA on the scenario's terms:
+    its binarization and its EO policy."""
     forget = bg.forget_samples(bundle)
     retain = bg.retain_samples(bundle)
     fa = accuracy(model, forget) if forget else float("nan")
@@ -226,11 +211,11 @@ def evaluate_model(
     X, y, groups, _ = bg.stack(bundle.test)
     preds = md.predict(model, X)
     bin_preds = binarize_predictions(bundle, preds)
-    bin_labels = binarize_labels(bundle, y)
+    bin_labels = binarize_predictions(bundle, y)
     bin_groups = binarize_groups(bundle, groups)
     dp = demographic_parity_gap(bin_preds, bin_groups)
-    policy = "available" if bundle.kind == "patch" else "raise"
-    eo = equalized_odds_gap(bin_preds, bin_labels, bin_groups, on_missing=policy)
+    eo = equalized_odds_gap(bin_preds, bin_labels, bin_groups,
+                            on_missing=bg.SCENARIOS[bundle.kind].eo_policy)
 
     mia = mia_auc(model, forget, bundle.test) if forget else float("nan")
 

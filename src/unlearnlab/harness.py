@@ -13,9 +13,11 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,15 +36,6 @@ SEED_BASELINE = 2000
 SEED_GOLD = 3000
 SEED_STRATEGY = 4000
 SEED_COUNTERFACTUAL = 5000
-
-STRATEGY_LABELS = {
-    "gradient_ascent": "GA",
-    "lora": "LoRA",
-    "scrub": "SCRUB",
-    "fmd": "FMD",
-}
-
-COUNTERFACTUAL_MODES = {"patch": "mask_patch", "pose": "rebalance_bins"}
 
 TABLE_COLUMNS = (
     "Method",
@@ -72,39 +65,17 @@ class ConfigError(UserError):
 # Config schema.
 # ---------------------------------------------------------------------------
 
-_SCENARIO_PARAMS = {
-    "patch": {
-        "n_per_class": int, "n_classes": int, "target_class": int,
-        "patch_fraction": float, "marker_value": float,
-        "d_s": int, "d_b": int, "class_sep": float,
-        "confuser_class": int, "confuser_scale": float,
-    },
-    "attribute": {
-        "n": int, "corr_ratio": float,
-        "d_s": int, "d_b": int, "label_sep": float, "group_sep": float,
-    },
-    "pose": {
-        "n": int, "n_classes": int, "skew": float,
-        "d_s": int, "d_b": int, "class_sep": float, "scale_sigma": float,
-    },
-}
-
-_SCENARIO_REQUIRED = {
-    "patch": ("n_per_class", "n_classes", "target_class", "patch_fraction",
-              "marker_value"),
-    "attribute": ("n", "corr_ratio"),
-    "pose": ("n", "n_classes", "skew"),
-}
-
-_STRATEGY_PARAMS = {
-    "eta": float, "alpha": float, "beta": float, "rank": int, "steps": int,
-    "damping": float, "finetune_steps": int, "hessian_scope": str,
-}
-
-_COBUM_PARAMS = {
-    "alpha_u": float, "alpha_f": float, "alpha_q": float, "alpha_p": float,
-    "alpha_e": float, "gamma": float, "kappa": float, "epsilon": float,
-}
+def _scenario_schema(kind: str) -> tuple[dict, list]:
+    """(key -> type, required keys); every generator parameter but seed.
+    An optional parameter (X | None) takes values of type X."""
+    params = inspect.signature(bg.SCENARIOS[kind].generate, eval_str=True).parameters
+    schema = {}
+    for name, param in params.items():
+        types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
+        schema[name] = types[0] if types else param.annotation
+    del schema["seed"]
+    required = [name for name in schema if params[name].default is inspect.Parameter.empty]
+    return schema, required
 
 
 @dataclass
@@ -126,11 +97,7 @@ class ExperimentConfig:
 
 def _typed(section: str, key: str, raw: str, want):
     try:
-        if want is int:
-            return int(raw)
-        if want is float:
-            return float(raw)
-        return raw
+        return want(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from e
 
@@ -141,7 +108,8 @@ def _parse_section(cp, section: str, schema: dict, skip=()) -> dict:
         if key in skip:
             continue
         if key not in schema:
-            raise ConfigError(f"[{section}] has unknown key {key!r}")
+            raise ConfigError(f"[{section}] has unknown key {key!r} "
+                              f"(known: {', '.join(schema)})")
         out[key] = _typed(section, key, raw, schema[key])
     return out
 
@@ -159,8 +127,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: missing [scenario] section")
 
     kind = cp.get("scenario", "kind", fallback=None)
-    if kind not in _SCENARIO_PARAMS:
-        known = ", ".join(sorted(_SCENARIO_PARAMS))
+    if kind not in bg.SCENARIOS:
+        known = ", ".join(sorted(bg.SCENARIOS))
         raise ConfigError(f"{path}: unknown scenario kind {kind!r} (known: {known})")
 
     raw_strategies = cp.get("scenario", "strategies", fallback="")
@@ -170,16 +138,17 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(
                 "'hard' runs implicitly as the gold reference; list only "
                 "post-hoc strategies")
-        if name not in STRATEGY_LABELS:
-            known = ", ".join(STRATEGY_LABELS)
+        if name not in ul.POST_HOC_STRATEGIES:
+            known = ", ".join(ul.POST_HOC_STRATEGIES)
             raise ConfigError(f"unknown strategy {name!r} (known: {known})")
-    if "fmd" in strategies and kind not in COUNTERFACTUAL_MODES:
-        raise ConfigError(
-            f"fmd needs a counterfactual recipe; none exists for {kind!r}")
+        if (ul.POST_HOC_STRATEGIES[name].needs_counterfactual
+                and bg.SCENARIOS[kind].counterfactual is None):
+            raise ConfigError(
+                f"{name} needs a counterfactual recipe; none exists for {kind!r}")
 
-    scen = _parse_section(cp, "scenario", _SCENARIO_PARAMS[kind],
-                          skip=("kind", "strategies"))
-    missing = [k for k in _SCENARIO_REQUIRED[kind] if k not in scen]
+    schema, required = _scenario_schema(kind)
+    scen = _parse_section(cp, "scenario", schema, skip=("kind", "strategies"))
+    missing = [k for k in required if k not in scen]
     if missing:
         raise ConfigError(f"[scenario] ({kind}) missing keys: {', '.join(missing)}")
 
@@ -192,7 +161,8 @@ def load_config(path) -> ExperimentConfig:
         cfg.head = mp.get("head", cfg.head)
     if cfg.head not in ("softmax", "sigmoid"):
         raise ConfigError(f"[model] head must be softmax or sigmoid, got {cfg.head!r}")
-    if cfg.head == "sigmoid" and _n_classes(cfg) != 2:
+    # A generator without an n_classes parameter builds a binary task.
+    if cfg.head == "sigmoid" and scen.get("n_classes", 2) != 2:
         raise ConfigError("[model] sigmoid head requires a binary scenario")
     if cfg.hidden < 1:
         raise ConfigError(f"[model] hidden must be >= 1, got {cfg.hidden}")
@@ -206,19 +176,22 @@ def load_config(path) -> ExperimentConfig:
     if cfg.train_epochs < 1 or cfg.train_batch_size < 1 or cfg.train_learning_rate <= 0:
         raise ConfigError("[train] needs epochs >= 1, batch_size >= 1, learning_rate > 0")
 
+    strategy_types = typing.get_type_hints(ul.StrategyConfig)
     for name in strategies:
-        params = (_parse_section(cp, name, _STRATEGY_PARAMS)
-                  if cp.has_section(name) else {})
+        schema = {key: strategy_types[key] for key in ul.POST_HOC_STRATEGIES[name].reads}
+        params = _parse_section(cp, name, schema) if cp.has_section(name) else {}
         try:
-            ul.StrategyConfig(strategy=name, seed=0, **params)
+            ul.StrategyConfig(seed=0, **params)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"[{name}]: {e}") from e
         cfg.strategy_params[name] = params
 
     if cp.has_section("cobum"):
-        raw = _parse_section(cp, "cobum", _COBUM_PARAMS)
-        kwargs = {("alpha_" + k[-1].upper() if k.startswith("alpha_") else k): v
-                  for k, v in raw.items()}
+        # configparser lower-cases keys, so alpha_U is read as alpha_u.
+        fields = {f.name.lower(): f.name for f in dataclasses.fields(cb.CoBumParams)}
+        types = typing.get_type_hints(cb.CoBumParams)
+        raw = _parse_section(cp, "cobum", {k: types[f] for k, f in fields.items()})
+        kwargs = {fields[key]: value for key, value in raw.items()}
         try:
             cfg.cobum_params = cb.CoBumParams(**kwargs)
         except ValueError as e:
@@ -232,27 +205,13 @@ def load_config(path) -> ExperimentConfig:
     return cfg
 
 
-def _n_classes(cfg: ExperimentConfig) -> int:
-    if cfg.kind == "attribute":
-        return 2
-    return int(cfg.scenario_params["n_classes"])
-
-
 # ---------------------------------------------------------------------------
 # Pipeline stages.
 # ---------------------------------------------------------------------------
 
 def build_bundle(cfg: ExperimentConfig, master_seed: int) -> bg.DataBundle:
-    seed = master_seed + SEED_DATA
-    p = dict(cfg.scenario_params)
-    if cfg.kind == "patch":
-        return bg.gen_patch_bias(
-            p.pop("n_per_class"), p.pop("n_classes"), p.pop("target_class"),
-            p.pop("patch_fraction"), p.pop("marker_value"), seed=seed, **p)
-    if cfg.kind == "attribute":
-        return bg.gen_attribute_bias(p.pop("n"), p.pop("corr_ratio"), seed=seed, **p)
-    return bg.gen_pose_bias(p.pop("n"), p.pop("n_classes"), p.pop("skew"),
-                            seed=seed, **p)
+    return bg.SCENARIOS[cfg.kind].generate(seed=master_seed + SEED_DATA,
+                                          **cfg.scenario_params)
 
 
 def model_arch(cfg: ExperimentConfig, bundle: bg.DataBundle) -> list:
@@ -280,22 +239,13 @@ def run_strategy(name: str, cfg: ExperimentConfig, bundle: bg.DataBundle,
                  master_seed: int) -> ul.UnlearnResult:
     """Dispatch one post-hoc strategy against the shared baseline/gold pair."""
     position = cfg.strategies.index(name)
-    scfg = ul.StrategyConfig(strategy=name,
-                             seed=master_seed + SEED_STRATEGY + 100 * position,
+    strategy = ul.POST_HOC_STRATEGIES[name]
+    scfg = ul.StrategyConfig(seed=master_seed + SEED_STRATEGY + 100 * position,
                              **cfg.strategy_params[name])
-    if name == "gradient_ascent":
-        return ul.gradient_ascent(baseline, bundle, scfg)
-    if name == "lora":
-        return ul.lora_unlearn(baseline, bundle, scfg)
-    if name == "scrub":
-        return ul.scrub_unlearn(baseline, gold, bundle, scfg)
-    d_c = bg.build_counterfactual(bundle, COUNTERFACTUAL_MODES[cfg.kind],
-                                  seed=master_seed + SEED_COUNTERFACTUAL)
-    pairs = None
-    if cfg.kind == "patch" and scfg.finetune_steps > 0:
-        # mask_patch keeps row order, so originals pair up positionally.
-        pairs = list(zip(bg.forget_samples(bundle), d_c))
-    return ul.fmd_unlearn(baseline, d_c, scfg, bundle=bundle, pairs=pairs)
+    d_c = None
+    if strategy.needs_counterfactual:
+        d_c = bg.build_counterfactual(bundle, seed=master_seed + SEED_COUNTERFACTUAL)
+    return strategy.run(baseline, gold, bundle, scfg, d_c)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +545,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         rows = [TableRow("Baseline", reports["baseline"]),
                 TableRow("Hard", reports["gold"])]
         for name in cfg.strategies:
-            label = STRATEGY_LABELS[name]
+            label = ul.POST_HOC_STRATEGIES[name].label
             if name in manifest.failed_strategies:
                 rows.append(TableRow(label, error=manifest.failed_strategies[name]))
             else:

@@ -270,7 +270,7 @@ def attach_lora(model: ModelParams, layer_indices: list[int], rank: int, seed: i
     B = 0 means the forward pass is unchanged at attach time.
     """
     if model.adapters:
-        raise ValueError("adapters already attached; detach first")
+        raise ValueError("adapters already attached")
     rng = np.random.default_rng(seed)
     for idx in layer_indices:
         if not 0 <= idx < len(model.layers):
@@ -283,12 +283,6 @@ def attach_lora(model: ModelParams, layer_indices: list[int], rank: int, seed: i
         B = ad.tensor(np.zeros((rank, d_in)))
         model.adapters[idx] = LoraAdapter(idx, rank, A, B)
     model.frozen_base = True
-    return model
-
-
-def detach_lora(model: ModelParams) -> ModelParams:
-    model.adapters.clear()
-    model.frozen_base = False
     return model
 
 

@@ -25,8 +25,6 @@ from . import autodiff as ad
 from . import biasgen as bg
 from . import model as md
 
-STRATEGIES = ("hard", "gradient_ascent", "lora", "scrub", "fmd")
-
 # Gradient ascent stops once the forget loss passes this ceiling; beyond it
 # the iterates are headed for overflow, not useful forgetting.
 FORGET_LOSS_CEILING = 50.0
@@ -38,7 +36,8 @@ FORGET_KL_CLIP = 10.0
 
 @dataclass
 class StrategyConfig:
-    strategy: str
+    """Post-hoc strategy settings; each strategy reads the fields its record lists."""
+
     eta: float = 1e-3
     alpha: float = 1.0
     beta: float = 1.0
@@ -50,8 +49,6 @@ class StrategyConfig:
     hessian_scope: str = "head"
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.alpha < 0 or self.beta < 0:
@@ -383,7 +380,8 @@ def influence(
 
     bias_measure builds a scalar from the same flat parameter tensor layout
     as loss_closure(model, ..., scope). CG non-convergence is reported via
-    the flags, not raised.
+    the flags; indefinite curvature, which damping can fail to cover with
+    scope "all", raises autodiff.IndefiniteError.
     """
     theta0, train_fn = loss_closure(model, train_samples, scope)
 
@@ -425,9 +423,9 @@ def newton_unlearn_step(
     """theta0 - (H + damping*I)^{-1} grad, with the solve done by CG on
     Hessian-vector products.
 
-    Indefinite curvature (CG cannot proceed) falls back to a plain gradient
-    step scaled by 1/damping; plain non-convergence keeps the partial CG
-    solution and is reported in the info.
+    Indefinite curvature or a non-finite value (CG cannot proceed) falls back
+    to a plain gradient step scaled by 1/damping; plain non-convergence keeps
+    the partial CG solution and is reported in the info.
     """
     leaf = ad.tensor(theta0)
     (g,) = ad.grad(loss_fn(leaf), [leaf])
@@ -441,7 +439,7 @@ def newton_unlearn_step(
         )
         step = solve.x
         converged, iterations, residual = solve.converged, solve.iterations, solve.residual_norm
-    except ad.NonFiniteError:
+    except (ad.NonFiniteError, ad.IndefiniteError):
         fallback = True
         step = grad_vec / max(damping, 1e-8)
         converged, iterations, residual = False, 0, float(np.linalg.norm(grad_vec))
@@ -525,3 +523,42 @@ def fmd_unlearn(
             "fallback": info.fallback, "step_norm": info.step_norm,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Strategy records.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Strategy:
+    """A post-hoc strategy: its table label, the StrategyConfig fields it
+    reads (its config section's keys), whether it needs a counterfactual set,
+    and run(model, teacher, bundle, cfg, counterfactual), which looks the
+    strategy function up on this module at each call."""
+
+    label: str
+    reads: tuple[str, ...]
+    run: Callable[..., UnlearnResult]
+    needs_counterfactual: bool = False
+
+
+def _run_fmd(model, teacher, bundle, cfg, d_c):
+    paired = bg.SCENARIOS[bundle.kind].paired_counterfactual
+    pairs = list(zip(bg.forget_samples(bundle), d_c)) if paired else None
+    return fmd_unlearn(model, d_c, cfg, bundle=bundle, pairs=pairs)
+
+
+POST_HOC_STRATEGIES = {
+    "gradient_ascent": Strategy(
+        "GA", ("eta", "alpha", "steps"),
+        lambda model, teacher, bundle, cfg, d_c: gradient_ascent(model, bundle, cfg)),
+    "lora": Strategy(
+        "LoRA", ("eta", "beta", "rank", "steps"),
+        lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg)),
+    "scrub": Strategy(
+        "SCRUB", ("eta", "steps"),
+        lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg)),
+    "fmd": Strategy(
+        "FMD", ("eta", "damping", "finetune_steps", "hessian_scope"), _run_fmd,
+        needs_counterfactual=True),
+}

@@ -163,11 +163,15 @@ def test_linear_map_gradient_rows_equal_input():
     (g,) = ad.grad(out, [W])
     np.testing.assert_allclose(g.data, np.tile(x.ravel(), (3, 1)), atol=1e-14)
 
-def test_backward_sets_leaf_grads():
+def test_grad_reaches_every_leaf():
     x = ad.tensor(np.array([1.0, -2.0]))
-    out = ad.sq_norm(x)
-    ad.backward(out)
-    np.testing.assert_allclose(x.grad, [2.0, -4.0], atol=1e-14)
+    w = ad.tensor(np.array([3.0, 0.5]))
+    out = ad.add(ad.sq_norm(x), ad.sum_all(ad.mul(w, x)))
+    leaves = [n for n in ad.trace(out).nodes if not n.parents]
+    assert set(leaves) == {x, w}
+    gx, gw = ad.grad(out, [x, w])
+    np.testing.assert_allclose(gx.data, [2.0 + 3.0, -4.0 + 0.5], atol=1e-14)
+    np.testing.assert_allclose(gw.data, [1.0, -2.0], atol=1e-14)
 
 def test_grad_rejects_nonscalar_output():
     x = ad.tensor(np.ones(3))
@@ -486,9 +490,14 @@ def test_cg_reports_nonconvergence():
     assert not res.converged and res.iterations == 2
 
 def test_cg_rejects_indefinite_operator():
-    with pytest.raises(ad.NonFiniteError) as e:
+    with pytest.raises(ad.IndefiniteError) as e:
         ad.cg_solve(lambda p: -p, np.ones(3), damping=0.0)
     assert "iteration" in str(e.value)
+    assert not isinstance(e.value, ad.NonFiniteError)
+
+def test_cg_nonfinite_curvature_is_nonfinite_error():
+    with pytest.raises(ad.NonFiniteError, match="non-finite curvature"):
+        ad.cg_solve(lambda p: np.full_like(p, np.inf), np.ones(3))
 
 def test_cg_rejects_negative_damping():
     with pytest.raises(ValueError):

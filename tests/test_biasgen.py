@@ -201,7 +201,7 @@ def test_pose_scale_is_last_b_feature():
 
 def test_mask_patch_preserves_s_bit_exactly_and_drops_marker():
     bundle = bg.gen_patch_bias(100, 4, 0, 0.5, 3.0, seed=19)
-    bg.build_counterfactual(bundle, "mask_patch", seed=20)
+    bg.build_counterfactual(bundle, seed=20)
     forget = bg.forget_samples(bundle)
     assert len(bundle.counterfactual) == len(forget)
     for cf, orig in zip(bundle.counterfactual, forget):
@@ -211,7 +211,7 @@ def test_mask_patch_preserves_s_bit_exactly_and_drops_marker():
 
 def test_rebalance_bins_uniform_marginals_with_original_pairs():
     bundle = bg.gen_pose_bias(900, 3, 0.7, seed=21)
-    bg.build_counterfactual(bundle, "rebalance_bins", seed=22)
+    bg.build_counterfactual(bundle, seed=22)
     d_c = bundle.counterfactual
     per_bin = len(bundle.train) // 3
     for bin_id in range(3):
@@ -222,16 +222,13 @@ def test_rebalance_bins_uniform_marginals_with_original_pairs():
     assert all((s.s.tobytes(), s.label) in train_keys for s in d_c)
 
 def test_counterfactual_mode_compatibility():
+    # The recipe follows the bundle's kind; attribute bundles have none.
     attribute = bg.gen_attribute_bias(500, 3.0, seed=23)
-    with pytest.raises(ValueError):
-        bg.build_counterfactual(attribute, "mask_patch", seed=0)
-    with pytest.raises(ValueError):
-        bg.build_counterfactual(attribute, "rebalance_bins", seed=0)
+    with pytest.raises(ValueError, match="no counterfactual recipe"):
+        bg.build_counterfactual(attribute, seed=0)
+    assert attribute.counterfactual is None
     patch = bg.gen_patch_bias(50, 3, 0, 0.5, 3.0, seed=24)
-    with pytest.raises(ValueError):
-        bg.build_counterfactual(patch, "rebalance_bins", seed=0)
-    with pytest.raises(ValueError):
-        bg.build_counterfactual(patch, "no_such_mode", seed=0)
+    assert len(bg.build_counterfactual(patch, seed=0)) == len(patch.forget_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +262,14 @@ def test_bundle_missing_sidecar_rejected(tmp_path):
     bg.save_bundle(bundle, p)
     (tmp_path / "bundle.csv.meta.json").unlink()
     with pytest.raises(ValueError, match="sidecar"):
+        bg.load_bundle(p)
+
+def test_bundle_unknown_kind_rejected(tmp_path):
+    p = tmp_path / "bundle.csv"
+    bg.save_bundle(bg.gen_pose_bias(100, 3, 0.5, seed=27), p)
+    sidecar = tmp_path / "bundle.csv.meta.json"
+    sidecar.write_text(sidecar.read_text().replace('"pose"', '"wavelength"'))
+    with pytest.raises(ValueError, match=f"bundle {p}: unknown scenario kind 'wavelength'"):
         bg.load_bundle(p)
 
 @pytest.mark.parametrize("split", ["val", "test"])

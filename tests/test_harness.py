@@ -4,15 +4,20 @@ of work; the shipped configs are exercised by the acceptance suite."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from unlearnlab import biasgen as bg
 from unlearnlab import cli
+from unlearnlab import fairness_eval as fe
 from unlearnlab import harness as hn
 from unlearnlab import model as md
+from unlearnlab import unlearn as ul
 from unlearnlab.fairness_eval import EvalReport
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -70,7 +75,7 @@ def test_shipped_configs_parse():
         assert cfg.kind in ("patch", "attribute", "pose")
         assert cfg.strategies
         for name in cfg.strategies:
-            assert name in hn.STRATEGY_LABELS
+            assert name in ul.POST_HOC_STRATEGIES
 
 
 def test_attribute_config_omits_fmd():
@@ -155,6 +160,97 @@ def test_unlisted_strategy_section_rejected(tmp_path, tiny_config):
     path = write_config(tmp_path, text)
     with pytest.raises(hn.ConfigError, match="unknown sections"):
         hn.load_config(path)
+
+
+# What each strategy reads; every other StrategyConfig key is an error in its section.
+STRATEGY_READS = {
+    "gradient_ascent": ("eta", "alpha", "steps"),
+    "lora": ("eta", "beta", "rank", "steps"),
+    "scrub": ("eta", "steps"),
+    "fmd": ("eta", "damping", "finetune_steps", "hessian_scope"),
+}
+STRATEGY_VALUES = {"eta": 1e-3, "alpha": 0.5, "beta": 0.5, "rank": 2, "steps": 3,
+                   "damping": 1.0, "finetune_steps": 1, "hessian_scope": "all"}
+TINY_SCENARIO = TINY_PATCH.split("[model]")[0]
+
+
+def test_strategy_sections_accept_the_keys_they_read(tmp_path):
+    text = TINY_SCENARIO.replace("gradient_ascent lora", " ".join(STRATEGY_READS))
+    for name, keys in STRATEGY_READS.items():
+        text += f"\n[{name}]\n" + "".join(f"{k} = {STRATEGY_VALUES[k]}\n" for k in keys)
+    cfg = hn.load_config(write_config(tmp_path, text))
+    for name, keys in STRATEGY_READS.items():
+        assert cfg.strategy_params[name] == {k: STRATEGY_VALUES[k] for k in keys}
+
+
+@pytest.mark.parametrize("strategy,key", [
+    (name, key) for name, reads in STRATEGY_READS.items()
+    for key in STRATEGY_VALUES if key not in reads])
+def test_strategy_section_rejects_keys_it_ignores(tmp_path, capsys, strategy, key):
+    text = TINY_SCENARIO.replace("gradient_ascent lora", strategy)
+    path = write_config(tmp_path, text + f"\n[{strategy}]\n{key} = {STRATEGY_VALUES[key]}\n")
+    with pytest.raises(hn.ConfigError, match=rf"\[{strategy}\] has unknown key '{key}'"):
+        hn.load_config(path)
+    assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"[{strategy}] has unknown key '{key}'" in capsys.readouterr().err
+
+
+def test_scenario_keys_follow_generator_signature(tmp_path, tiny_config):
+    text = tiny_config.read_text().replace(
+        "marker_value = 2.0", "marker_value = 2.0\nconfuser_class = 2\nclass_sep = 4")
+    cfg = hn.load_config(write_config(tmp_path, text))
+    assert type(cfg.scenario_params["confuser_class"]) is int  # from int | None
+    assert type(cfg.scenario_params["class_sep"]) is float
+    assert hn.build_bundle(cfg, 1).meta["confuser_class"] == 2
+    # seed comes from the master seed, never from the config.
+    seeded = write_config(tmp_path, text.replace("class_sep = 4", "class_sep = 4\nseed = 3"),
+                          "seeded.cfg")
+    with pytest.raises(hn.ConfigError, match="unknown key 'seed'"):
+        hn.load_config(seeded)
+
+
+def gen_toy_bias(n: int, seed: int, shift: float = 2.0) -> bg.DataBundle:
+    """Binary labels carried by s; a group that splits each label evenly, in b."""
+    rng = np.random.default_rng(seed)
+    splits = {}
+    for name, size in zip(bg.SPLITS, bg.split_sizes(n)):
+        splits[name] = []
+        for i in range(size):
+            label, group = i % 2, (i // 2) % 2
+            splits[name].append(bg.Sample(rng.normal(size=2) + shift * label,
+                                          np.array([float(group)]), label, group,
+                                          label == group == 1))
+    forget = [i for i, smp in enumerate(splits["train"]) if smp.bias_flag]
+    return bg.DataBundle("toy", 2, 1, 2, splits["train"], splits["val"], splits["test"],
+                         np.array(forget, dtype=np.int64), seed)
+
+
+def test_new_scenario_is_a_generator_and_one_record(tmp_path, monkeypatch):
+    monkeypatch.setattr(bg, "gen_toy_bias", gen_toy_bias, raising=False)
+    monkeypatch.setitem(bg.SCENARIOS, "toy",
+                        bg.Scenario("gen_toy_bias", lambda meta: [1], 1, "raise"))
+    path = write_config(tmp_path, """
+[scenario]
+kind = toy
+strategies = gradient_ascent
+n = 200
+shift = 3
+
+[model]
+hidden = 4
+head = sigmoid
+""")
+    cfg = hn.load_config(path)
+    assert cfg.scenario_params == {"n": 200, "shift": 3.0}
+    bundle = hn.build_bundle(cfg, 1)
+    assert bundle.kind == "toy" and bundle.seed == 1 + hn.SEED_DATA
+    report = fe.evaluate_model(md.init_model(hn.model_arch(cfg, bundle), cfg.head, 0), bundle)
+    assert 0.0 <= report.dp_gap <= 1.0 and 0.0 <= report.eo_gap <= 1.0
+    with pytest.raises(hn.ConfigError, match="missing keys: n"):
+        hn.load_config(write_config(tmp_path, "[scenario]\nkind = toy\n", "bare.cfg"))
+    with pytest.raises(hn.ConfigError, match="counterfactual"):
+        hn.load_config(write_config(
+            tmp_path, "[scenario]\nkind = toy\nstrategies = fmd\nn = 200\n", "fmd.cfg"))
 
 
 def test_missing_required_scenario_keys(tmp_path):
@@ -538,3 +634,49 @@ def test_cli_internal_error_is_exit_one(tiny_config, tmp_path, capsys, monkeypat
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert "synthetic failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Traced functions.
+# ---------------------------------------------------------------------------
+
+# The benchmark's traced run swaps these module attributes for counting
+# wrappers; a pipeline that held the function objects themselves would
+# bypass the wrappers and zero those per-layer counters.
+TRACED = {
+    bg: ("gen_patch_bias", "gen_attribute_bias", "gen_pose_bias", "build_counterfactual"),
+    ul: ("gradient_ascent", "lora_unlearn", "scrub_unlearn", "fmd_unlearn"),
+    fe: ("evaluate_model",),
+}
+
+TINY_RUNS = {
+    "patch": TINY_PATCH.replace("gradient_ascent lora", "gradient_ascent lora scrub fmd")
+    + "\n[scrub]\neta = 1e-3\nsteps = 2\n\n[fmd]\ndamping = 1.0\nfinetune_steps = 1\n",
+    "attribute": "[scenario]\nkind = attribute\nstrategies = gradient_ascent\n"
+                 "n = 200\ncorr_ratio = 4.0\n[train]\nepochs = 2\n"
+                 "[gradient_ascent]\nsteps = 2\n",
+    "pose": "[scenario]\nkind = pose\nstrategies = fmd\nn = 90\nn_classes = 3\n"
+            "skew = 0.5\n[train]\nepochs = 2\n[fmd]\ndamping = 1.0\n",
+}
+
+
+def test_pipeline_calls_traced_functions_through_their_modules(tmp_path, monkeypatch):
+    calls = {name: 0 for names in TRACED.values() for name in names}
+    for module, names in TRACED.items():
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, functools.wraps(getattr(module, name))(counted))
+    for kind, text in TINY_RUNS.items():
+        path = write_config(tmp_path, text, f"{kind}.cfg")
+        manifest = hn.run_experiment(hn.load_config(path), 7, tmp_path / kind,
+                                     config_path=path)
+        assert not manifest.failed_strategies
+    assert calls == {
+        "gen_patch_bias": 1, "gen_attribute_bias": 1, "gen_pose_bias": 1,
+        "build_counterfactual": 2, "gradient_ascent": 2, "lora_unlearn": 1,
+        "scrub_unlearn": 1, "fmd_unlearn": 2,
+        # Baseline and Hard, plus one per strategy: 6 + 3 + 3.
+        "evaluate_model": 12,
+    }

@@ -144,16 +144,17 @@ def test_trains_three_class_blobs():
 # Adapters.
 # ---------------------------------------------------------------------------
 
-def test_attach_then_detach_forward_bit_identical():
+def test_attach_then_merge_forward_bit_identical():
     m = md.init_model([5, 7, 3], "softmax", seed=13)
     X = np.random.default_rng(14).normal(size=(9, 5))
     before = md.forward(m, X).data.tobytes()
     md.attach_lora(m, [0], rank=3, seed=15)
     attached = md.forward(m, X).data.tobytes()
-    md.detach_lora(m)
-    after = md.forward(m, X).data.tobytes()
+    merged = md.merge_lora(m)
+    after = md.forward(merged, X).data.tobytes()
     # B starts at zero, so even the attached forward is unchanged.
     assert before == attached == after
+    assert not merged.adapters and not merged.frozen_base
 
 def test_adapter_training_freezes_base():
     m = md.init_model([4, 6, 2], "softmax", seed=16)

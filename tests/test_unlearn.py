@@ -69,14 +69,14 @@ def model_bytes(m: md.ModelParams) -> bytes:
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"strategy": "osmosis"},
-        {"strategy": "gradient_ascent", "eta": 0.0},
-        {"strategy": "gradient_ascent", "alpha": -1.0},
-        {"strategy": "lora", "beta": -0.5},
-        {"strategy": "lora", "rank": 0},
-        {"strategy": "scrub", "steps": -1},
-        {"strategy": "fmd", "damping": -1e-3},
-        {"strategy": "fmd", "hessian_scope": "tail"},
+        {"finetune_steps": -1},
+        {"eta": 0.0},
+        {"alpha": -1.0},
+        {"beta": -0.5},
+        {"rank": 0},
+        {"steps": -1},
+        {"damping": -1e-3},
+        {"hessian_scope": "tail"},
     ],
 )
 def test_config_validation(kwargs):
@@ -124,7 +124,7 @@ def test_ga_vanishing_step_changes_nothing():
     bundle = make_blob_bundle()
     m = md.init_model([6, 2], "softmax", 0)
     before = model_bytes(m)
-    cfg = ul.StrategyConfig(strategy="gradient_ascent", eta=1e-12, steps=1, seed=0)
+    cfg = ul.StrategyConfig(eta=1e-12, steps=1, seed=0)
     result = ul.gradient_ascent(m, bundle, cfg)
     assert model_bytes(m) == before
     deltas = [
@@ -139,7 +139,7 @@ def test_ga_pure_ascent_raises_forget_loss():
     m = md.init_model([6, 2], "softmax", 1)
     X, y, _, _ = bg.stack(bundle.train)
     md.train(m, (X, y), md.TrainConfig(epochs=10, batch_size=16, learning_rate=5e-3, seed=1))
-    cfg = ul.StrategyConfig(strategy="gradient_ascent", eta=1e-3, alpha=0.0, steps=10, seed=1)
+    cfg = ul.StrategyConfig(eta=1e-3, alpha=0.0, steps=10, seed=1)
     result = ul.gradient_ascent(m, bundle, cfg)
     trace = [row["forget_loss"] for row in result.step_log]
     assert len(trace) == 10
@@ -153,7 +153,7 @@ def test_ga_one_step_sign_contract():
     forget = bg.forget_samples(bundle)
     X, y, _, _ = bg.stack(forget)
     before = float(np.mean(md.per_sample_loss(m, X, y)))
-    cfg = ul.StrategyConfig(strategy="gradient_ascent", eta=1e-4, alpha=0.0, steps=1, seed=0)
+    cfg = ul.StrategyConfig(eta=1e-4, alpha=0.0, steps=1, seed=0)
     result = ul.gradient_ascent(m, bundle, cfg)
     after = float(np.mean(md.per_sample_loss(result.model, X, y)))
     assert after >= before
@@ -162,7 +162,7 @@ def test_ga_one_step_sign_contract():
 def test_ga_divergence_guard_truncates():
     bundle = make_blob_bundle(seed=5)
     m = md.init_model([6, 2], "softmax", 3)
-    cfg = ul.StrategyConfig(strategy="gradient_ascent", eta=1e5, steps=30, seed=0)
+    cfg = ul.StrategyConfig(eta=1e5, steps=30, seed=0)
     result = ul.gradient_ascent(m, bundle, cfg)
     assert result.truncated
     assert len(result.step_log) < 30
@@ -176,13 +176,13 @@ def test_ga_rejects_empty_forget():
     bundle = make_blob_bundle(n_forget=0)
     m = md.init_model([6, 2], "softmax", 0)
     with pytest.raises(ValueError):
-        ul.gradient_ascent(m, bundle, ul.StrategyConfig(strategy="gradient_ascent"))
+        ul.gradient_ascent(m, bundle, ul.StrategyConfig())
 
 
 def test_ga_deterministic():
     bundle = make_blob_bundle(seed=6)
     m = md.init_model([6, 2], "softmax", 4)
-    cfg = ul.StrategyConfig(strategy="gradient_ascent", eta=1e-3, steps=5, seed=12)
+    cfg = ul.StrategyConfig(eta=1e-3, steps=5, seed=12)
     a = ul.gradient_ascent(m, bundle, cfg)
     b = ul.gradient_ascent(m, bundle, cfg)
     assert model_bytes(a.model) == model_bytes(b.model)
@@ -197,7 +197,7 @@ def test_ga_deterministic():
 def test_lora_zero_steps_is_identity():
     bundle = make_blob_bundle(seed=7)
     m = md.init_model([6, 10, 2], "softmax", 5)
-    cfg = ul.StrategyConfig(strategy="lora", steps=0, rank=2, seed=0)
+    cfg = ul.StrategyConfig(steps=0, rank=2, seed=0)
     result = ul.lora_unlearn(m, bundle, cfg)
     X = bg.stack(bundle.test)[0]
     np.testing.assert_array_equal(
@@ -208,7 +208,7 @@ def test_lora_zero_steps_is_identity():
 
 def test_lora_base_weights_frozen(patch_setup):
     bundle, baseline = patch_setup
-    cfg = ul.StrategyConfig(strategy="lora", eta=3e-3, beta=1.0, rank=4, steps=15, seed=1)
+    cfg = ul.StrategyConfig(eta=3e-3, beta=1.0, rank=4, steps=15, seed=1)
     result = ul.lora_unlearn(baseline, bundle, cfg)
     assert model_bytes(result.model) == model_bytes(baseline)
     assert result.model.frozen_base
@@ -223,7 +223,7 @@ def test_lora_beta_zero_is_retain_finetuning():
     # |D_f| >= |D_r| makes every retain batch the full retain set.
     bundle = make_blob_bundle(n_retain=40, n_forget=60, seed=8)
     m = md.init_model([6, 2], "softmax", 6)
-    cfg = ul.StrategyConfig(strategy="lora", eta=1e-3, beta=0.0, rank=2, steps=10, seed=2)
+    cfg = ul.StrategyConfig(eta=1e-3, beta=0.0, rank=2, steps=10, seed=2)
     result = ul.lora_unlearn(m, bundle, cfg)
     trace = [row["retain_loss"] for row in result.step_log]
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
@@ -232,7 +232,7 @@ def test_lora_beta_zero_is_retain_finetuning():
 def test_lora_rejects_attached_adapters():
     m = md.attach_lora(md.init_model([6, 10, 2], "softmax", 0), [0], 2, 0)
     with pytest.raises(ValueError):
-        ul.lora_unlearn(m, make_blob_bundle(), ul.StrategyConfig(strategy="lora"))
+        ul.lora_unlearn(m, make_blob_bundle(), ul.StrategyConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +243,13 @@ def test_scrub_rejects_architecture_mismatch():
     a = md.init_model([6, 8, 2], "softmax", 0)
     b = md.init_model([6, 10, 2], "softmax", 0)
     with pytest.raises(ValueError):
-        ul.scrub_unlearn(a, b, make_blob_bundle(), ul.StrategyConfig(strategy="scrub"))
+        ul.scrub_unlearn(a, b, make_blob_bundle(), ul.StrategyConfig())
 
 
 def test_scrub_teacher_equals_student_starts_at_zero_kl():
     bundle = make_blob_bundle(seed=9)
     m = md.init_model([6, 8, 2], "softmax", 1)
-    cfg = ul.StrategyConfig(strategy="scrub", eta=1e-3, steps=1, seed=0)
+    cfg = ul.StrategyConfig(eta=1e-3, steps=1, seed=0)
     result = ul.scrub_unlearn(m, md.copy_model(m), bundle, cfg)
     assert result.step_log[0]["retain_loss"] < 1e-10
     assert result.step_log[0]["forget_loss"] < 1e-10
@@ -261,7 +261,7 @@ def test_scrub_objective_decomposition(patch_setup):
         bundle, md.TrainConfig(epochs=40, batch_size=64, learning_rate=3e-3, seed=8),
         [bundle.d_s + bundle.d_b, 32, 3],
     ).model
-    cfg = ul.StrategyConfig(strategy="scrub", eta=3e-3, steps=12, seed=3)
+    cfg = ul.StrategyConfig(eta=3e-3, steps=12, seed=3)
     result = ul.scrub_unlearn(baseline, teacher, bundle, cfg)
     assert len(result.step_log) == 12
     for row in result.step_log:
@@ -276,7 +276,7 @@ def test_scrub_forget_kl_ends_above_retain_kl(patch_setup):
         bundle, md.TrainConfig(epochs=40, batch_size=64, learning_rate=3e-3, seed=8),
         [bundle.d_s + bundle.d_b, 32, 3],
     ).model
-    cfg = ul.StrategyConfig(strategy="scrub", eta=3e-3, steps=25, seed=4)
+    cfg = ul.StrategyConfig(eta=3e-3, steps=25, seed=4)
     result = ul.scrub_unlearn(baseline, teacher, bundle, cfg)
     last = result.step_log[-1]
     assert last["forget_loss"] > last["retain_loss"]
@@ -291,7 +291,7 @@ def test_scrub_kl_clip_drops_gradient():
     student = md.init_model([6, 2], "softmax", 0)
     student.layers[0][0].data[:] = 0.0
     student.layers[0][1].data[:] = [0.0, 40.0]
-    cfg = ul.StrategyConfig(strategy="scrub", eta=1e-3, steps=1, seed=0)
+    cfg = ul.StrategyConfig(eta=1e-3, steps=1, seed=0)
     result = ul.scrub_unlearn(student, teacher, bundle, cfg)
     row = result.step_log[0]
     assert row["forget_loss"] > ul.FORGET_KL_CLIP
@@ -306,7 +306,7 @@ def test_scrub_empty_forget_is_pure_distillation():
     teacher = md.init_model(arch, "softmax", 1)
     md.train(teacher, (X, y), md.TrainConfig(epochs=40, batch_size=64, learning_rate=3e-3, seed=1))
     student = md.init_model(arch, "softmax", 2)
-    cfg = ul.StrategyConfig(strategy="scrub", eta=5e-3, steps=80, seed=5)
+    cfg = ul.StrategyConfig(eta=5e-3, steps=80, seed=5)
     result = ul.scrub_unlearn(student, teacher, bundle, cfg)
     retain = bg.retain_samples(bundle)
     Xr, yr, _, _ = bg.stack(retain)
@@ -417,6 +417,10 @@ def test_newton_indefinite_falls_back_to_gradient():
     assert info.fallback and not info.converged
     # Gradient is -theta0; fallback step = grad / damping.
     np.testing.assert_allclose(theta1, theta0 + theta0 / 0.5, atol=1e-12)
+    # What the step fell back from: every value is finite, the curvature is not positive.
+    hvp = ad.hvp_operator(fn, ad.tensor(theta0))
+    with pytest.raises(ad.IndefiniteError):
+        ad.cg_solve(lambda v: hvp(v).data, theta0, damping=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +430,13 @@ def test_newton_indefinite_falls_back_to_gradient():
 def test_fmd_rejects_empty_counterfactual(patch_setup):
     _, baseline = patch_setup
     with pytest.raises(ValueError):
-        ul.fmd_unlearn(baseline, [], ul.StrategyConfig(strategy="fmd"))
+        ul.fmd_unlearn(baseline, [], ul.StrategyConfig())
 
 
 def test_fmd_head_scope_touches_only_head(patch_setup):
     bundle, baseline = patch_setup
-    d_c = bg.build_counterfactual(bundle, "mask_patch", seed=21)
-    cfg = ul.StrategyConfig(strategy="fmd", damping=1e-2, seed=0)
+    d_c = bg.build_counterfactual(bundle, seed=21)
+    cfg = ul.StrategyConfig(damping=1e-2, seed=0)
     result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle)
     for (W0, b0), (W1, b1) in zip(baseline.layers[:-1], result.model.layers[:-1]):
         assert W0.data.tobytes() == W1.data.tobytes()
@@ -443,11 +447,11 @@ def test_fmd_head_scope_touches_only_head(patch_setup):
 
 def test_fmd_newton_step_fixes_masked_probes(patch_setup):
     bundle, baseline = patch_setup
-    d_c = bg.build_counterfactual(bundle, "mask_patch", seed=22)
-    probes = bg.build_counterfactual(bundle, "mask_patch", seed=23)
+    d_c = bg.build_counterfactual(bundle, seed=22)
+    probes = bg.build_counterfactual(bundle, seed=23)
     Xp, yp, _, _ = bg.stack(probes)
     before = float((md.predict(baseline, Xp) == yp).mean())
-    cfg = ul.StrategyConfig(strategy="fmd", damping=1e-2, seed=0)
+    cfg = ul.StrategyConfig(damping=1e-2, seed=0)
     result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle)
     after = float((md.predict(result.model, Xp) == yp).mean())
     assert after > before
@@ -456,7 +460,7 @@ def test_fmd_newton_step_fixes_masked_probes(patch_setup):
 def test_fmd_contrastive_pairs_shrink_embedding_gap(patch_setup):
     bundle, baseline = patch_setup
     forget = bg.forget_samples(bundle)
-    d_c = bg.build_counterfactual(bundle, "mask_patch", seed=24)
+    d_c = bg.build_counterfactual(bundle, seed=24)
     pairs = list(zip(forget, d_c))
 
     def gap(m):
@@ -466,7 +470,7 @@ def test_fmd_contrastive_pairs_shrink_embedding_gap(patch_setup):
         eb = md.body_features(m, Xb)
         return float(np.mean(np.sum((ea - eb) ** 2, axis=1)))
 
-    cfg = ul.StrategyConfig(strategy="fmd", damping=1e-2, eta=3e-3, finetune_steps=8, seed=0)
+    cfg = ul.StrategyConfig(damping=1e-2, eta=3e-3, finetune_steps=8, seed=0)
     result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle, pairs=pairs)
     assert gap(result.model) < gap(baseline)
     assert len(result.step_log) == 1 + 8
@@ -479,20 +483,20 @@ def test_fmd_contrastive_pairs_shrink_embedding_gap(patch_setup):
 def run_strategy(name, baseline, bundle):
     if name == "gradient_ascent":
         return ul.gradient_ascent(
-            baseline, bundle, ul.StrategyConfig(strategy=name, eta=1e-3, steps=3, seed=1)
+            baseline, bundle, ul.StrategyConfig(eta=1e-3, steps=3, seed=1)
         )
     if name == "lora":
         return ul.lora_unlearn(
-            baseline, bundle, ul.StrategyConfig(strategy=name, eta=1e-3, rank=2, steps=3, seed=1)
+            baseline, bundle, ul.StrategyConfig(eta=1e-3, rank=2, steps=3, seed=1)
         )
     if name == "scrub":
         return ul.scrub_unlearn(
             baseline, md.copy_model(baseline), bundle,
-            ul.StrategyConfig(strategy=name, eta=1e-3, steps=3, seed=1),
+            ul.StrategyConfig(eta=1e-3, steps=3, seed=1),
         )
-    d_c = bg.build_counterfactual(bundle, "mask_patch", seed=1)
+    d_c = bg.build_counterfactual(bundle, seed=1)
     return ul.fmd_unlearn(
-        baseline, d_c, ul.StrategyConfig(strategy=name, damping=1e-1, seed=1), bundle=bundle
+        baseline, d_c, ul.StrategyConfig(damping=1e-1, seed=1), bundle=bundle
     )
 
 
