@@ -2,7 +2,13 @@
 
 Builds a define-by-run tape of primitive operations. Each primitive records its
 parents and two vector-Jacobian products that apply the same numpy operations
-in the same order, so both give bitwise-identical gradients:
+in the same order, so both give bitwise-identical gradients. Both are called
+as ``vjp(g, need)``: ``g`` is the gradient flowing into the node and ``need``
+holds one flag per parent, true when some tensor in ``grad``'s ``wrt`` lies in
+that parent's ancestry. A vjp returns one entry per parent and may return
+None where the flag is false; the multi-parent primitives (``mul``,
+``matmul``, ``linear``, and ``sub`` for its second operand) do, so the
+gradient of a constant operand, such as a model's inputs, is never formed:
 
 - a taped vjp, built from the primitives themselves. ``grad(...,
   create_graph=True)`` uses it, so the backward pass extends the tape and the
@@ -17,6 +23,11 @@ Neither the forward pass nor the taped first gradient depends on the vector,
 so ``hvp_operator`` builds them once per operator, and each product it applies
 is a single first-order pass back through them. A CG solve builds one operator
 and applies it once per iteration.
+
+Two fused primitives replace common chains with one node each and the same
+arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
+logits against a constant target distribution). Their taped vjps build the
+chain's backward from primitives, so second derivatives are unchanged too.
 
 Scalars are 0-d arrays. Shapes are strict; there is no general broadcasting,
 only the explicit row/column broadcast primitives the models need. Any
@@ -55,9 +66,10 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """A node in the computation graph: a value plus provenance.
 
-    ``vjp`` maps the gradient flowing into this node to gradients for each
-    parent, building new graph nodes as it goes; ``array_vjp`` does the same
-    arithmetic on plain arrays. Leaves have no parents.
+    ``vjp(g, need)`` maps the gradient flowing into this node to gradients
+    for the parents that ``need`` flags, building new graph nodes as it goes;
+    ``array_vjp`` does the same arithmetic on plain arrays. Leaves have no
+    parents.
     """
 
     __slots__ = ("data", "parents", "op", "vjp", "array_vjp", "__weakref__")
@@ -108,14 +120,17 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Primitives. Each returns a new node whose taped vjp is built from
 # primitives, so second derivatives come out of the same machinery, and whose
-# array vjp repeats that arithmetic on ndarrays.
+# array vjp repeats that arithmetic on ndarrays. A single-parent node is only
+# differentiated when its parent is needed, so its vjps ignore ``need``.
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
     _require_same_shape(a, b, "add")
-    return Tensor(a.data + b.data, (a, b), "add", lambda g: (g, g), lambda g: (g, g))
+    return Tensor(
+        a.data + b.data, (a, b), "add", lambda g, need: (g, g), lambda g, need: (g, g)
+    )
 
 
 def sub(a, b) -> Tensor:
@@ -124,8 +139,8 @@ def sub(a, b) -> Tensor:
     _require_same_shape(a, b, "sub")
     return Tensor(
         a.data - b.data, (a, b), "sub",
-        lambda g: (g, scale(g, -1.0)),
-        lambda g: (g, g * -1.0),
+        lambda g, need: (g, scale(g, -1.0) if need[1] else None),
+        lambda g, need: (g, g * -1.0 if need[1] else None),
     )
 
 
@@ -135,8 +150,8 @@ def mul(a, b) -> Tensor:
     _require_same_shape(a, b, "mul")
     return Tensor(
         a.data * b.data, (a, b), "mul",
-        lambda g: (mul(g, b), mul(g, a)),
-        lambda g: (g * b.data, g * a.data),
+        lambda g, need: (mul(g, b) if need[0] else None, mul(g, a) if need[1] else None),
+        lambda g, need: (g * b.data if need[0] else None, g * a.data if need[1] else None),
     )
 
 
@@ -145,14 +160,14 @@ def scale(a, c: float) -> Tensor:
     a = _as_tensor(a)
     c = float(c)
     return Tensor(
-        a.data * c, (a,), "scale", lambda g: (scale(g, c),), lambda g: (g * c,)
+        a.data * c, (a,), "scale", lambda g, need: (scale(g, c),), lambda g, need: (g * c,)
     )
 
 
 def addc(a, c: float) -> Tensor:
     """Add a python scalar constant elementwise."""
     a = _as_tensor(a)
-    return Tensor(a.data + float(c), (a,), "addc", lambda g: (g,), lambda g: (g,))
+    return Tensor(a.data + float(c), (a,), "addc", lambda g, need: (g,), lambda g, need: (g,))
 
 
 def neg(a) -> Tensor:
@@ -170,8 +185,10 @@ def matmul(a, b) -> Tensor:
         a.data @ b.data,
         (a, b),
         "matmul",
-        lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
-        lambda g: (g @ b.data.T.copy(), a.data.T.copy() @ g),
+        lambda g, need: (matmul(g, transpose(b)) if need[0] else None,
+                         matmul(transpose(a), g) if need[1] else None),
+        lambda g, need: (g @ b.data.T.copy() if need[0] else None,
+                         a.data.T.copy() @ g if need[1] else None),
     )
 
 
@@ -191,8 +208,12 @@ def linear(h, W, b) -> Tensor:
         h.data @ W.data.T.copy() + b.data,
         (h, W, b),
         "linear",
-        lambda g: (matmul(g, W), transpose(matmul(transpose(h), g)), colsum(g)),
-        lambda g: (g @ W.data, (h.data.T.copy() @ g).T.copy(), g.sum(axis=0)),
+        lambda g, need: (matmul(g, W) if need[0] else None,
+                         transpose(matmul(transpose(h), g)) if need[1] else None,
+                         colsum(g) if need[2] else None),
+        lambda g, need: (g @ W.data if need[0] else None,
+                         (h.data.T.copy() @ g).T.copy() if need[1] else None,
+                         g.sum(axis=0) if need[2] else None),
     )
 
 
@@ -201,8 +222,8 @@ def transpose(a) -> Tensor:
     _require_ndim(a, 2, "transpose")
     return Tensor(
         a.data.T.copy(), (a,), "transpose",
-        lambda g: (transpose(g),),
-        lambda g: (g.T.copy(),),
+        lambda g, need: (transpose(g),),
+        lambda g, need: (g.T.copy(),),
     )
 
 
@@ -211,8 +232,8 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     return Tensor(
         np.maximum(a.data, 0.0), (a,), "relu",
-        lambda g: (mul(g, Tensor((a.data > 0.0).astype(np.float64))),),
-        lambda g: (g * (a.data > 0.0).astype(np.float64),),
+        lambda g, need: (mul(g, Tensor((a.data > 0.0).astype(np.float64))),),
+        lambda g, need: (g * (a.data > 0.0).astype(np.float64),),
     )
 
 
@@ -226,8 +247,8 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(_sigmoid(a.data), (a,), "sigmoid")
     node, s = weakref.ref(out), out.data
-    out.vjp = lambda g: (mul(g, mul(node(), addc(neg(node()), 1.0))),)
-    out.array_vjp = lambda g: (g * (s * (s * -1.0 + 1.0)),)
+    out.vjp = lambda g, need: (mul(g, mul(node(), addc(neg(node()), 1.0))),)
+    out.array_vjp = lambda g, need: (g * (s * (s * -1.0 + 1.0)),)
     return out
 
 
@@ -236,8 +257,8 @@ def softplus(a) -> Tensor:
     a = _as_tensor(a)
     return Tensor(
         np.logaddexp(0.0, a.data), (a,), "softplus",
-        lambda g: (mul(g, sigmoid(a)),),
-        lambda g: (g * _sigmoid(a.data),),
+        lambda g, need: (mul(g, sigmoid(a)),),
+        lambda g, need: (g * _sigmoid(a.data),),
     )
 
 
@@ -246,23 +267,60 @@ def exp(a) -> Tensor:
     with np.errstate(over="ignore"):
         out = Tensor(np.exp(a.data), (a,), "exp")
     node, e = weakref.ref(out), out.data
-    out.vjp = lambda g: (mul(g, node()),)
-    out.array_vjp = lambda g: (g * e,)
+    out.vjp = lambda g, need: (mul(g, node()),)
+    out.array_vjp = lambda g, need: (g * e,)
     return out
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _log_softmax_vjp(logp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return g - np.exp(logp) * g.sum(axis=1, keepdims=True)
 
 
 def log_softmax(a) -> Tensor:
     """Row-wise log of softmax probabilities for a (n, k) logit matrix."""
     a = _as_tensor(a)
     _require_ndim(a, 2, "log_softmax")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor(shifted - lse, (a,), "log_softmax")
+    out = Tensor(_log_softmax(a.data), (a,), "log_softmax")
     k = a.shape[1]
     node, logp = weakref.ref(out), out.data
-    out.vjp = lambda g: (sub(g, mul(exp(node()), colbcast(rowsum(g), k))),)
-    out.array_vjp = lambda g: (g - np.exp(logp) * g.sum(axis=1, keepdims=True),)
+    out.vjp = lambda g, need: (sub(g, mul(exp(node()), colbcast(rowsum(g), k))),)
+    out.array_vjp = lambda g, need: (_log_softmax_vjp(logp, g),)
     return out
+
+
+def softmax_xent(z, P) -> Tensor:
+    """Cross-entropy -sum(P * log_softmax(z)) / n of a (n, k) logit matrix
+    against a constant (n, k) target distribution P: one node in place of a
+    log_softmax/mul/sum_all/scale chain, with the same arithmetic.
+
+    The taped vjp builds that chain's backward from primitives, so
+    Hessian-vector products are unchanged. Only the scalar is checked for
+    finiteness; a NaN or infinity in any intermediate makes it non-finite.
+    """
+    z = _as_tensor(z)
+    _require_ndim(z, 2, "softmax_xent")
+    P = np.asarray(P, dtype=np.float64)
+    if P.shape != z.shape:
+        raise ShapeError(f"softmax_xent: targets {P.shape} vs logits {z.shape}")
+    if z.shape[0] == 0:
+        raise ShapeError("softmax_xent: empty batch")
+    c, shp = -1.0 / z.shape[0], z.shape
+    logp = _log_softmax(z.data)
+
+    def vjp(g, need):
+        # The chain's log_softmax node must stay alive while its vjp runs.
+        chain = log_softmax(z)
+        return chain.vjp(mul(bcast_to(scale(g, c), shp), Tensor(P)), need)
+
+    return Tensor(
+        (P * logp).sum() * c, (z,), "softmax_xent", vjp,
+        lambda g, need: (_log_softmax_vjp(logp, np.full(shp, g * c, dtype=np.float64) * P),),
+    )
 
 
 def sum_all(a) -> Tensor:
@@ -271,8 +329,8 @@ def sum_all(a) -> Tensor:
     shp = a.shape
     return Tensor(
         a.data.sum(), (a,), "sum",
-        lambda g: (bcast_to(g, shp),),
-        lambda g: (np.full(shp, g, dtype=np.float64),),
+        lambda g, need: (bcast_to(g, shp),),
+        lambda g, need: (np.full(shp, g, dtype=np.float64),),
     )
 
 
@@ -297,8 +355,8 @@ def rowsum(a) -> Tensor:
     k = a.shape[1]
     return Tensor(
         a.data.sum(axis=1), (a,), "rowsum",
-        lambda g: (colbcast(g, k),),
-        lambda g: (np.repeat(g[:, None], k, axis=1),),
+        lambda g, need: (colbcast(g, k),),
+        lambda g, need: (np.repeat(g[:, None], k, axis=1),),
     )
 
 
@@ -309,8 +367,8 @@ def colsum(a) -> Tensor:
     n = a.shape[0]
     return Tensor(
         a.data.sum(axis=0), (a,), "colsum",
-        lambda g: (rowbcast(g, n),),
-        lambda g: (np.tile(g, (n, 1)),),
+        lambda g, need: (rowbcast(g, n),),
+        lambda g, need: (np.tile(g, (n, 1)),),
     )
 
 
@@ -320,8 +378,8 @@ def rowbcast(v, n: int) -> Tensor:
     _require_ndim(v, 1, "rowbcast")
     return Tensor(
         np.tile(v.data, (n, 1)), (v,), "rowbcast",
-        lambda g: (colsum(g),),
-        lambda g: (g.sum(axis=0),),
+        lambda g, need: (colsum(g),),
+        lambda g, need: (g.sum(axis=0),),
     )
 
 
@@ -331,8 +389,8 @@ def colbcast(v, k: int) -> Tensor:
     _require_ndim(v, 1, "colbcast")
     return Tensor(
         np.repeat(v.data[:, None], k, axis=1), (v,), "colbcast",
-        lambda g: (rowsum(g),),
-        lambda g: (g.sum(axis=1),),
+        lambda g, need: (rowsum(g),),
+        lambda g, need: (g.sum(axis=1),),
     )
 
 
@@ -343,8 +401,8 @@ def bcast_to(s, shape: tuple[int, ...]) -> Tensor:
         raise ShapeError(f"bcast_to: expected scalar, got shape {s.shape}")
     return Tensor(
         np.full(shape, s.data, dtype=np.float64), (s,), "bcast_to",
-        lambda g: (sum_all(g),),
-        lambda g: (g.sum(),),
+        lambda g, need: (sum_all(g),),
+        lambda g, need: (g.sum(),),
     )
 
 
@@ -357,8 +415,8 @@ def narrow(v, start: int, length: int) -> Tensor:
         raise ShapeError(f"narrow: [{start}, {start + length}) outside length {total}")
     return Tensor(
         v.data[start : start + length].copy(), (v,), "narrow",
-        lambda g: (embed(g, start, total),),
-        lambda g: (_embed(g, start, total),),
+        lambda g, need: (embed(g, start, total),),
+        lambda g, need: (_embed(g, start, total),),
     )
 
 
@@ -377,8 +435,8 @@ def embed(v, start: int, total: int) -> Tensor:
         raise ShapeError(f"embed: [{start}, {start + length}) outside length {total}")
     return Tensor(
         _embed(v.data, start, total), (v,), "embed",
-        lambda g: (narrow(g, start, length),),
-        lambda g: (g[start : start + length].copy(),),
+        lambda g, need: (narrow(g, start, length),),
+        lambda g, need: (g[start : start + length].copy(),),
     )
 
 
@@ -389,8 +447,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     old = a.shape
     return Tensor(
         a.data.reshape(shape).copy(), (a,), "reshape",
-        lambda g: (reshape(g, old),),
-        lambda g: (g.reshape(old).copy(),),
+        lambda g, need: (reshape(g, old),),
+        lambda g, need: (g.reshape(old).copy(),),
     )
 
 
@@ -433,20 +491,23 @@ def grad(
     By default the backward pass runs the array vjps and returns leaf tensors;
     each is checked for finiteness once. With ``create_graph`` it runs the
     taped vjps instead and returns graph nodes that can be differentiated
-    again. Both modes give bitwise-identical values. Tensors in ``wrt`` that
-    the output does not depend on get zero gradients. Forward value buffers
-    are never touched.
+    again. Both modes give bitwise-identical values. Each node's vjp is asked
+    only for the parents on a path to ``wrt``, so nothing is spent on the
+    gradients of constants. Tensors in ``wrt`` that the output does not depend
+    on get zero gradients. Forward value buffers are never touched.
     """
     if output.data.ndim != 0:
         raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
     graph = trace(output)
     wrt_set = set(wrt)
 
-    # A node needs processing only if some wrt tensor lies in its ancestry.
-    needed: set[Tensor] = set()
+    # A node is needed if it is in wrt or some wrt tensor lies in its
+    # ancestry; need[node] marks which of its parents are needed.
+    need: dict[Tensor, tuple[bool, ...]] = {}
     for node in graph.nodes:
-        if node in wrt_set or any(p in needed for p in node.parents):
-            needed.add(node)
+        mask = tuple(p in need for p in node.parents)
+        if node in wrt_set or any(mask):
+            need[node] = mask
 
     if create_graph:
         adjoint: dict[Tensor, Tensor | np.ndarray] = {output: Tensor(np.ones(()))}
@@ -454,11 +515,12 @@ def grad(
         adjoint = {output: np.ones(())}
     for node in reversed(graph.nodes):
         g = adjoint.get(node)
-        if g is None or not node.parents or node not in needed:
+        mask = need.get(node, ())
+        if g is None or not any(mask):
             continue
-        parent_grads = node.vjp(g) if create_graph else node.array_vjp(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if parent not in needed:
+        parent_grads = node.vjp(g, mask) if create_graph else node.array_vjp(g, mask)
+        for parent, pg, wanted in zip(node.parents, parent_grads, mask):
+            if not wanted:
                 continue
             held = adjoint.get(parent)
             if held is None:

@@ -77,7 +77,10 @@ def stack(samples: list[Sample]):
     if not samples:
         d = 0
         return (np.zeros((0, d)), np.zeros(0, int), np.zeros(0, int), np.zeros(0, bool))
-    X = np.stack([smp.x for smp in samples])
+    # One copy per block: the same bytes as stacking each row's smp.x.
+    X = np.concatenate(
+        [np.stack([smp.s for smp in samples]), np.stack([smp.b for smp in samples])], axis=1
+    )
     y = np.array([smp.label for smp in samples], dtype=np.int64)
     g = np.array([smp.group for smp in samples], dtype=np.int64)
     f = np.array([smp.bias_flag for smp in samples], dtype=bool)
@@ -445,12 +448,11 @@ def save_bundle(bundle: DataBundle, path) -> None:
     for split_name in SPLITS:
         for i, smp in enumerate(bundle.split(split_name)):
             in_forget = split_name == "train" and i in forget_set
-            row = (
-                [repr(float(v)) for v in smp.s]
-                + [repr(float(v)) for v in smp.b]
-                + [str(smp.label), str(smp.group), str(int(smp.bias_flag)),
+            # .tolist() yields python floats, whose repr is repr(float(v)):
+            # one conversion per block instead of one per element.
+            row = [*map(repr, smp.s.tolist()), *map(repr, smp.b.tolist()),
+                   str(smp.label), str(smp.group), str(int(smp.bias_flag)),
                    split_name, str(int(in_forget))]
-            )
             lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
     sidecar = {

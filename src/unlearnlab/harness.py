@@ -369,10 +369,20 @@ def report_to_dict(report: fe.EvalReport) -> dict:
 
 
 def report_from_dict(data: dict) -> fe.EvalReport:
+    """The inverse of report_to_dict. ValueError unless data is an object with
+    exactly the report's fields, each a number or null."""
+    if not isinstance(data, dict):
+        raise ValueError(f"report is a JSON {type(data).__name__}, not an object")
     fields = {f.name for f in dataclasses.fields(fe.EvalReport)}
-    unknown = set(data) - fields
+    unknown, missing = set(data) - fields, fields - set(data)
     if unknown:
         raise ValueError(f"report has unknown fields: {sorted(unknown)}")
+    if missing:
+        raise ValueError(f"report lacks fields: {sorted(missing)}")
+    for key, value in data.items():
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise ValueError(f"report field {key!r} is {value!r}, not a number or null")
     kwargs = {k: (float("nan") if v is None and k not in ("dp_drop_pct", "eo_drop_pct")
                   else v)
               for k, v in data.items()}
@@ -380,10 +390,15 @@ def report_from_dict(data: dict) -> fe.EvalReport:
 
 
 def load_report(path) -> fe.EvalReport:
+    """Read a report.json; a missing or malformed file raises UserError
+    naming it."""
     path = Path(path)
     if not path.exists():
         raise UserError(f"report file not found: {path}")
-    return report_from_dict(json.loads(path.read_text()))
+    try:
+        return report_from_dict(json.loads(path.read_text()))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError included
+        raise UserError(f"report {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def loss_from_logits(logits: ad.Tensor, y: np.ndarray, head: str) -> ad.Tensor:
     if head == "softmax":
         onehot = np.zeros(logits.shape)
         onehot[np.arange(n), y] = 1.0
-        return ad.scale(ad.sum_all(ad.mul(ad.tensor(onehot), ad.log_softmax(logits))), -1.0 / n)
+        return ad.softmax_xent(logits, onehot)
     ycol = ad.tensor(y.reshape(n, 1).astype(np.float64))
     return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, ycol)))
 
@@ -211,25 +211,36 @@ def trainable_params(model: ModelParams) -> list[ad.Tensor]:
 
 
 class Adam:
-    """Standard Adam on the .data buffers of a fixed parameter list."""
+    """Standard Adam on the .data buffers of a fixed parameter list.
+
+    The moments m and v of all parameters live in one flat buffer each, so a
+    step is a handful of whole-buffer operations. Every one is elementwise,
+    so the result is bitwise that of a per-parameter update.
+    """
 
     def __init__(self, params: list[ad.Tensor], lr: float):
         self.params = params
         self.lr = float(lr)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.bounds = np.cumsum([0] + [p.data.size for p in params]).tolist()
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
+        if not self.params:
+            return
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.data = p.data - self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        g = np.concatenate([np.ravel(gi) for gi in grads])
+        m, v = self.m, self.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        for p, lo, hi in zip(self.params, self.bounds, self.bounds[1:]):
+            p.data = p.data - update[lo:hi].reshape(p.data.shape)
 
 
 def train(

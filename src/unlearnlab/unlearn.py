@@ -257,25 +257,30 @@ def lora_unlearn(
 # Teacher-student distillation (SCRUB-style).
 # ---------------------------------------------------------------------------
 
-def _kl_to_teacher(p: np.ndarray, student_logits: ad.Tensor, head: str) -> ad.Tensor:
-    """Mean KL(teacher || student) as a graph scalar; p is a constant."""
-    n = p.shape[0]
+def _plogp_terms(p: np.ndarray, head: str) -> np.ndarray:
+    """Elementwise p log p of teacher probabilities (plus (1-p) log(1-p) for
+    a sigmoid head): the student-independent part of KL(teacher || student)."""
     if head == "softmax":
         safe = np.clip(p, 1e-300, None)
-        plogp = float(np.sum(np.where(p > 0.0, p * np.log(safe), 0.0))) / n
-        cross = ad.scale(
-            ad.sum_all(ad.mul(ad.tensor(p), ad.log_softmax(student_logits))), -1.0 / n
-        )
-        return ad.addc(cross, plogp)
+        return np.where(p > 0.0, p * np.log(safe), 0.0)
     safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    plogp = float(np.mean(p * np.log(safe) + (1.0 - p) * np.log1p(-safe)))
+    return p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
+
+
+def _kl_to_teacher(p: np.ndarray, plogp: np.ndarray, student_logits: ad.Tensor,
+                   head: str) -> ad.Tensor:
+    """Mean KL(teacher || student) as a graph scalar; p is a constant and
+    plogp is _plogp_terms(p, head), which SCRUB computes once per teacher
+    array and indexes per step."""
+    if head == "softmax":
+        return ad.addc(ad.softmax_xent(student_logits, p), float(np.sum(plogp)) / p.shape[0])
     cross = ad.mean_all(
         ad.add(
             ad.mul(ad.tensor(p), ad.softplus(ad.neg(student_logits))),
             ad.mul(ad.tensor(1.0 - p), ad.softplus(student_logits)),
         )
     )
-    return ad.addc(cross, plogp)
+    return ad.addc(cross, float(np.mean(plogp)))
 
 
 def scrub_unlearn(
@@ -304,6 +309,8 @@ def scrub_unlearn(
     Xf, yf, _, _ = bg.stack(forget)
     teacher_r = md.predict_proba(teacher, Xr)
     teacher_f = md.predict_proba(teacher, Xf) if forget else None
+    plogp_r = _plogp_terms(teacher_r, baseline.head)
+    plogp_f = _plogp_terms(teacher_f, baseline.head) if forget else None
     batch = min(len(retain), len(forget)) if forget else min(64, len(retain))
     rng = np.random.default_rng(cfg.seed)
 
@@ -316,7 +323,7 @@ def scrub_unlearn(
     for step in range(cfg.steps):
         idx = rng.choice(len(retain), size=batch, replace=False)
         z_r = md.forward(student, Xr[idx])
-        retain_kl = _kl_to_teacher(teacher_r[idx], z_r, student.head)
+        retain_kl = _kl_to_teacher(teacher_r[idx], plogp_r[idx], z_r, student.head)
         task = md.loss_from_logits(z_r, yr[idx], student.head)
         keep_terms = ad.add(retain_kl, task)
         cost += batch
@@ -325,7 +332,7 @@ def scrub_unlearn(
         forget_used = 0.0
         if forget:
             z_f = md.forward(student, Xf)
-            forget_kl = _kl_to_teacher(teacher_f, z_f, student.head)
+            forget_kl = _kl_to_teacher(teacher_f, plogp_f, z_f, student.head)
             forget_kl_val = float(forget_kl.data)
             if forget_kl_val <= FORGET_KL_CLIP:
                 total = ad.sub(keep_terms, forget_kl)

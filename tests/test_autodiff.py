@@ -275,7 +275,7 @@ def test_first_order_grad_matches_taped_on_scrub_kl(head, sizes):
     student = md.init_model(sizes, head, 47)
     p = md.predict_proba(teacher, X)
     assert_modes_agree(
-        lambda: ul._kl_to_teacher(p, md.forward(student, X), head),
+        lambda: ul._kl_to_teacher(p, ul._plogp_terms(p, head), md.forward(student, X), head),
         md.trainable_params(student),
     )
 
@@ -319,6 +319,120 @@ def test_linear_is_bitwise_the_matmul_chain():
     v = rng.normal(size=theta0.shape)
     assert (ad.hessian_vector_product(fused, leaf, v).data.tobytes()
             == ad.hessian_vector_product(chain, leaf, v).data.tobytes())
+
+def chain_xent(z, P):
+    return ad.scale(ad.sum_all(ad.mul(ad.tensor(P), ad.log_softmax(z))), -1.0 / z.shape[0])
+
+@pytest.mark.parametrize("targets", ["onehot", "soft"])
+def test_softmax_xent_is_bitwise_the_chain(targets):
+    rng = np.random.default_rng(51)
+    X = ad.tensor(rng.normal(size=(10, 4)))
+    if targets == "onehot":
+        P = np.eye(3)[rng.integers(0, 3, size=10)]
+    else:
+        e = np.exp(rng.normal(size=(10, 3)) * 2.0)
+        P = e / e.sum(axis=1, keepdims=True)
+    shapes = [(5, 4), (5,), (3, 5), (3,)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    theta0 = rng.normal(size=sum(sizes))
+
+    def loss_with(xent):
+        def fn(flat):
+            pieces, pos = [], 0
+            for shp, size in zip(shapes, sizes):
+                pieces.append(ad.reshape(ad.narrow(flat, pos, size), shp))
+                pos += size
+            h = ad.relu(ad.linear(X, pieces[0], pieces[1]))
+            # The scale makes the gradient entering the cross-entropy not 1.
+            return ad.scale(xent(ad.linear(h, pieces[2], pieces[3]), P), 1.3)
+        return fn
+
+    fused, chain = loss_with(ad.softmax_xent), loss_with(chain_xent)
+    leaf = ad.tensor(theta0)
+    assert fused(leaf).data.tobytes() == chain(leaf).data.tobytes()
+    for create_graph in (False, True):
+        (gf,) = ad.grad(fused(leaf), [leaf], create_graph=create_graph)
+        (gc,) = ad.grad(chain(leaf), [leaf], create_graph=create_graph)
+        assert gf.data.tobytes() == gc.data.tobytes()
+    for _ in range(2):
+        v = rng.normal(size=theta0.shape)
+        assert (ad.hessian_vector_product(fused, leaf, v).data.tobytes()
+                == ad.hessian_vector_product(chain, leaf, v).data.tobytes())
+
+def test_softmax_xent_checks_operands():
+    z = ad.tensor(np.zeros((2, 3)))
+    with pytest.raises(ad.ShapeError):
+        ad.softmax_xent(z, np.ones((2, 2)) / 2)
+    with pytest.raises(ad.ShapeError):
+        ad.softmax_xent(ad.tensor(np.zeros((0, 3))), np.zeros((0, 3)))
+    with pytest.raises(ad.NonFiniteError):
+        ad.softmax_xent(z, np.array([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+MULTI_PARENT = {
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "linear": (ad.linear, [(5, 4), (3, 4), (3,)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
+}
+
+@pytest.mark.parametrize("op", MULTI_PARENT)
+def test_grad_of_any_parent_subset_is_bitwise_the_full_grad(op):
+    build, shapes = MULTI_PARENT[op]
+    rng = np.random.default_rng(52)
+    values = [rng.normal(size=s) for s in shapes]
+    for create_graph in (False, True):
+        # Parents are nodes, not leaves, so the skipped gradients would have
+        # had somewhere to go.
+        leaves = [ad.tensor(v) for v in values]
+        parents = [ad.addc(leaf, 0.5) for leaf in leaves]
+        out = build(*parents)
+        loss = ad.sum_all(ad.mul(ad.sigmoid(out), ad.tensor(rng.normal(size=out.shape))))
+        full = [g.data.tobytes() for g in ad.grad(loss, leaves, create_graph=create_graph)]
+        for mask in range(1, 2 ** len(leaves) - 1):
+            subset = [i for i in range(len(leaves)) if mask >> i & 1]
+            part = ad.grad(loss, [leaves[i] for i in subset], create_graph=create_graph)
+            assert [g.data.tobytes() for g in part] == [full[i] for i in subset]
+
+def record_vjp_requests(output):
+    """Wrap every node's vjps under output; return the (node, need, result) log."""
+    log = []
+    for node in ad.trace(output).nodes:
+        for attr in ("vjp", "array_vjp"):
+            fn = getattr(node, attr)
+            if fn is None:
+                continue
+
+            def wrapped(g, need, fn=fn, node=node):
+                result = fn(g, need)
+                log.append((node, need, result))
+                return result
+
+            setattr(node, attr, wrapped)
+    return log
+
+def assert_vjps_asked_only_for_ancestry(output, wrt, create_graph=False):
+    log = record_vjp_requests(output)
+    ad.grad(output, wrt, create_graph=create_graph)
+    assert log
+    for node, need, result in log:
+        for parent, wanted, got in zip(node.parents, need, result):
+            reaches_wrt = any(t in wrt for t in ad.trace(parent).nodes)
+            assert wanted == reaches_wrt
+            if not wanted and node.op in ("mul", "matmul", "linear"):
+                assert got is None
+
+@pytest.mark.parametrize("scope", ["head", "all"])
+def test_vjps_are_never_asked_for_constant_parents(scope):
+    theta0, fn = closure_case(f"softmax-{scope}")
+    for create_graph in (False, True):
+        leaf = ad.tensor(theta0)
+        assert_vjps_asked_only_for_ancestry(fn(leaf), [leaf], create_graph)
+    # The second pass of a Hessian-vector product: back through the taped
+    # gradient, whose graph holds the constant inputs and targets.
+    leaf = ad.tensor(theta0)
+    (g,) = ad.grad(fn(leaf), [leaf], create_graph=True)
+    v = np.random.default_rng(53).normal(size=theta0.shape)
+    assert_vjps_asked_only_for_ancestry(ad.sum_all(ad.mul(g, ad.tensor(v))), [leaf])
 
 def test_linear_rejects_mismatched_operands():
     h, W = ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((4, 3)))

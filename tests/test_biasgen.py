@@ -250,6 +250,41 @@ def test_bundle_roundtrip_lossless(tmp_path):
             assert sa.b.tobytes() == sb.b.tobytes()
             assert (sa.label, sa.group, sa.bias_flag) == (sb.label, sb.group, sb.bias_flag)
 
+def test_bundle_cells_are_float_reprs(tmp_path):
+    bundle = bg.gen_pose_bias(100, 3, 0.5, seed=28)
+    p = tmp_path / "bundle.csv"
+    bg.save_bundle(bundle, p)
+    rows = p.read_text().splitlines()[1:]
+    samples = bundle.train + bundle.val + bundle.test
+    assert len(rows) == len(samples)
+    for row, smp in zip(rows, samples):
+        cells = row.split(",")[: bundle.d_s + bundle.d_b]
+        assert cells == [repr(float(v)) for v in np.concatenate([smp.s, smp.b])]
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        bg.gen_patch_bias(30, 3, 0, 0.5, 2.5, seed=29).train,
+        bg.gen_attribute_bias(200, 3.0, seed=30).test,
+        bg.build_counterfactual(bg.gen_pose_bias(90, 3, 0.5, seed=31), seed=32),
+        bg.gen_patch_bias(30, 3, 0, 0.5, 2.5, seed=29).train[:1],
+    ],
+    ids=["patch-train", "attribute-test", "pose-counterfactual", "one-row"],
+)
+def test_stack_is_bitwise_the_per_row_stack(samples):
+    X, y, g, f = bg.stack(samples)
+    expected = np.stack([smp.x for smp in samples])
+    assert X.dtype == expected.dtype and X.shape == expected.shape
+    assert X.tobytes() == expected.tobytes()
+    assert y.tolist() == [smp.label for smp in samples]
+    assert g.tolist() == [smp.group for smp in samples]
+    assert f.tolist() == [smp.bias_flag for smp in samples]
+
+def test_stack_of_no_samples_is_empty():
+    X, y, g, f = bg.stack([])
+    assert (X.shape, y.shape, g.shape, f.shape) == ((0, 0), (0,), (0,), (0,))
+    assert (X.dtype, f.dtype) == (np.float64, np.bool_)
+
 def test_bundle_file_bytes_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     bg.save_bundle(bg.gen_attribute_bias(300, 2.0, seed=26), p1)

@@ -548,6 +548,48 @@ def test_cli_malformed_checkpoint_header_is_operator_error(
     assert "odd.ckpt" in err and "internal error" not in err
 
 
+MALFORMED_REPORTS = {
+    "not-json": "{not json",
+    "json-list": "[1, 2]",
+    "missing-fields": '{"fa": 0.1}',
+    "unknown-field": json.dumps({**hn.report_to_dict(report()), "volume": 11}),
+    "string-value": json.dumps({**hn.report_to_dict(report()), "ra": "0.9"}),
+    "bool-value": json.dumps({**hn.report_to_dict(report()), "mia_auc": True}),
+}
+
+
+@pytest.mark.parametrize("stage", ["eval", "cobum"])
+@pytest.mark.parametrize("text", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
+def test_cli_malformed_report_is_operator_error(tiny_config, tmp_path, capsys, stage, text):
+    bad = tmp_path / "odd.json"
+    bad.write_text(text)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(hn.report_to_dict(report())))
+    if stage == "eval":
+        bundle = hn.build_bundle(hn.load_config(tiny_config), 1)
+        ckpt = tmp_path / "model.ckpt"
+        md.save_checkpoint(md.init_model([bundle.d_s + bundle.d_b, 8, 3], "softmax", 0), ckpt)
+        argv = ["eval", "--config", str(tiny_config), "--checkpoint", str(ckpt),
+                "--baseline-report", str(bad)]
+    else:
+        argv = ["cobum", "--unlearned", str(good), "--gold-report", str(good),
+                "--baseline-report", str(bad)]
+    code = cli.main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "odd.json" in err and "internal error" not in err
+
+
+def test_report_from_dict_rejects_missing_fields_and_non_numbers():
+    full = hn.report_to_dict(report())
+    with pytest.raises(ValueError, match="lacks fields"):
+        hn.report_from_dict({k: v for k, v in full.items() if k != "time_units"})
+    with pytest.raises(ValueError, match="not a number or null"):
+        hn.report_from_dict({**full, "fa": [0.3]})
+    with pytest.raises(ValueError, match="not an object"):
+        hn.report_from_dict([full])
+
+
 @pytest.mark.parametrize("stage", ["eval", "saliency", "unlearn"])
 @pytest.mark.parametrize("width_delta,classes", [(1, 3), (0, 4)])
 def test_cli_checkpoint_shape_mismatch_is_operator_error(
