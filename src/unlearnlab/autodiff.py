@@ -19,10 +19,18 @@ gradient of a constant operand, such as a model's inputs, is never formed:
 - an array vjp on plain ndarrays. The default first-order ``grad`` uses it and
   builds no nodes at all.
 
-Neither the forward pass nor the taped first gradient depends on the vector,
-so ``hvp_operator`` builds them once per operator, and each product it applies
-is a single first-order pass back through them. A CG solve builds one operator
-and applies it once per iteration.
+``grad`` runs in two steps: ``_plan`` traces the graph and computes the need
+masks, and ``_backprop``, the one backward loop, runs the vjps in that order.
+Neither the forward pass, nor the taped first gradient, nor its backward plan
+depends on the vector, so ``hvp_operator`` builds all three once per operator,
+and each product it applies is a single first-order pass down the fixed plan.
+A CG solve builds one operator and applies it once per iteration. The array
+vjps of ``matmul`` and ``linear`` keep the transposed copy of an operand they
+make and reuse it while that operand's ``.data`` is the same array object, so
+the constant operands of a CG solve are transposed once, not per iteration;
+the reuse keys on array identity, so code that rebinds ``.data`` (as the
+optimisers do) gets a fresh copy, and nothing may write into a graph's
+arrays in place.
 
 Two fused primitives replace common chains with one node each and the same
 arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
@@ -174,6 +182,26 @@ def neg(a) -> Tensor:
     return scale(a, -1.0)
 
 
+class _Transposed:
+    """``t.data.T.copy()`` for an array vjp: copied on first use and reused
+    while ``t.data`` is still the same array object, so repeated backward
+    passes over one graph, such as a CG solve's Hessian-vector products,
+    transpose a constant operand once. Rebinding ``t.data`` makes a fresh
+    copy; a write into the array in place would not be seen, and nothing in
+    the package makes one."""
+
+    __slots__ = ("t", "src", "copy")
+
+    def __init__(self, t: Tensor):
+        self.t, self.src, self.copy = t, None, None
+
+    def __call__(self) -> np.ndarray:
+        data = self.t.data
+        if data is not self.src:
+            self.src, self.copy = data, data.T.copy()
+        return self.copy
+
+
 def matmul(a, b) -> Tensor:
     """Strict 2-d matrix product."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -181,14 +209,15 @@ def matmul(a, b) -> Tensor:
     _require_ndim(b, 2, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
+    aT, bT = _Transposed(a), _Transposed(b)
     return Tensor(
         a.data @ b.data,
         (a, b),
         "matmul",
         lambda g, need: (matmul(g, transpose(b)) if need[0] else None,
                          matmul(transpose(a), g) if need[1] else None),
-        lambda g, need: (g @ b.data.T.copy() if need[0] else None,
-                         a.data.T.copy() @ g if need[1] else None),
+        lambda g, need: (g @ bT() if need[0] else None,
+                         aT() @ g if need[1] else None),
     )
 
 
@@ -204,6 +233,7 @@ def linear(h, W, b) -> Tensor:
         raise ShapeError(
             f"linear: input {h.shape}, weight {W.shape} and bias {b.shape} do not chain"
         )
+    hT = _Transposed(h)
     return Tensor(
         h.data @ W.data.T.copy() + b.data,
         (h, W, b),
@@ -212,7 +242,7 @@ def linear(h, W, b) -> Tensor:
                          transpose(matmul(transpose(h), g)) if need[1] else None,
                          colsum(g) if need[2] else None),
         lambda g, need: (g @ W.data if need[0] else None,
-                         (h.data.T.copy() @ g).T.copy() if need[1] else None,
+                         (hT() @ g).T.copy() if need[1] else None,
                          g.sum(axis=0) if need[2] else None),
     )
 
@@ -483,40 +513,36 @@ def trace(output: Tensor) -> Graph:
     return Graph(order)
 
 
-def grad(
-    output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False
-) -> list[Tensor]:
-    """Gradients of a scalar output with respect to each tensor in ``wrt``.
+def _plan(output: Tensor, wrt: Sequence[Tensor]) -> list[tuple[Tensor, tuple[bool, ...]]]:
+    """The backward order of the graph under ``output`` towards ``wrt``.
 
-    By default the backward pass runs the array vjps and returns leaf tensors;
-    each is checked for finiteness once. With ``create_graph`` it runs the
-    taped vjps instead and returns graph nodes that can be differentiated
-    again. Both modes give bitwise-identical values. Each node's vjp is asked
-    only for the parents on a path to ``wrt``, so nothing is spent on the
-    gradients of constants. Tensors in ``wrt`` that the output does not depend
-    on get zero gradients. Forward value buffers are never touched.
+    Returns (node, need) pairs, outputs first, for every node with a parent
+    on a path to ``wrt``; ``need`` flags those parents. The plan depends only
+    on the graph's structure, so one plan serves every backward pass over the
+    same graph.
     """
-    if output.data.ndim != 0:
-        raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
-    graph = trace(output)
     wrt_set = set(wrt)
-
     # A node is needed if it is in wrt or some wrt tensor lies in its
     # ancestry; need[node] marks which of its parents are needed.
     need: dict[Tensor, tuple[bool, ...]] = {}
-    for node in graph.nodes:
+    for node in trace(output).nodes:
         mask = tuple(p in need for p in node.parents)
         if node in wrt_set or any(mask):
             need[node] = mask
+    return [(node, mask) for node, mask in reversed(need.items()) if any(mask)]
 
-    if create_graph:
-        adjoint: dict[Tensor, Tensor | np.ndarray] = {output: Tensor(np.ones(()))}
-    else:
-        adjoint = {output: np.ones(())}
-    for node in reversed(graph.nodes):
+
+def _backprop(
+    plan: list[tuple[Tensor, tuple[bool, ...]]],
+    adjoint: dict,
+    wrt: Sequence[Tensor],
+    create_graph: bool,
+) -> list[Tensor]:
+    """Run a plan from ``adjoint``, which holds the output's seed gradient,
+    and return the gradient of each tensor in ``wrt``."""
+    for node, mask in plan:
         g = adjoint.get(node)
-        mask = need.get(node, ())
-        if g is None or not any(mask):
+        if g is None:
             continue
         parent_grads = node.vjp(g, mask) if create_graph else node.array_vjp(g, mask)
         for parent, pg, wanted in zip(node.parents, parent_grads, mask):
@@ -538,23 +564,47 @@ def grad(
     return out
 
 
+def grad(
+    output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False
+) -> list[Tensor]:
+    """Gradients of a scalar output with respect to each tensor in ``wrt``.
+
+    By default the backward pass runs the array vjps and returns leaf tensors;
+    each is checked for finiteness once. With ``create_graph`` it runs the
+    taped vjps instead and returns graph nodes that can be differentiated
+    again. Both modes give bitwise-identical values. Each node's vjp is asked
+    only for the parents on a path to ``wrt``, so nothing is spent on the
+    gradients of constants. Tensors in ``wrt`` that the output does not depend
+    on get zero gradients. Forward value buffers are never touched.
+    """
+    if output.data.ndim != 0:
+        raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
+    seed = Tensor(np.ones(())) if create_graph else np.ones(())
+    return _backprop(_plan(output, wrt), {output: seed}, wrt, create_graph)
+
+
 def hvp_operator(
     loss_fn: Callable[[Tensor], Tensor], params: Tensor
 ) -> Callable[[np.ndarray | Tensor], Tensor]:
     """The map v -> H v for the exact Hessian H of ``loss_fn`` at ``params``.
 
     ``loss_fn`` must build a fresh scalar graph from the given parameter
-    tensor. The forward pass and the taped first gradient g are built once,
-    here. Each call of the returned function differentiates <g, v>, with v held
-    constant, by one first-order pass back to ``params``, so a CG solve pays
-    for the forward pass and the taped gradient once, not per product. The
-    products are exact up to floating point, not finite differences, and
-    bitwise equal to building everything afresh for each v.
+    tensor. The forward pass, the taped first gradient g and the backward
+    plan of g towards ``params`` are built once, here. Each call of the
+    returned function builds <g, v> with v held constant, puts its two nodes
+    in front of that fixed plan and runs one first-order pass back to
+    ``params``, so a CG solve traces and masks the graph once, not per
+    product. The nodes of g's graph keep the transposed copies their array
+    vjps make (see ``matmul``), so the constant operands are transposed once
+    per operator too. The products are exact up to floating point, not
+    finite differences, and bitwise equal to building everything afresh for
+    each v.
     """
     loss = loss_fn(params)
     if loss.data.ndim != 0:
         raise ShapeError("hvp_operator: loss_fn must return a scalar")
     (g,) = grad(loss, [params], create_graph=True)
+    g_plan = _plan(g, [params])
 
     def apply(v: np.ndarray | Tensor) -> Tensor:
         v_arr = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
@@ -562,7 +612,10 @@ def hvp_operator(
             raise ShapeError(
                 f"hvp_operator: v shape {v_arr.shape} vs params {params.shape}"
             )
-        (hv,) = grad(sum_all(mul(g, Tensor(v_arr))), [params])
+        product = mul(g, Tensor(v_arr))
+        inner = sum_all(product)
+        plan = [(inner, (True,)), (product, (True, False)), *g_plan]
+        (hv,) = _backprop(plan, {inner: np.ones(())}, [params], create_graph=False)
         return hv
 
     return apply

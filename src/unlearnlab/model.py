@@ -329,6 +329,13 @@ def flat_param_closure(model: ModelParams, scope: str = "all"):
     theta0 = np.concatenate([t.data.ravel() for W, b in which for t in (W, b)])
 
     def rebuild(flat: ad.Tensor) -> list[tuple[ad.Tensor, ad.Tensor]]:
+        # narrow only bounds each slice's end, so a longer vector, such as
+        # one laid out for another scope, would otherwise be read silently.
+        if flat.shape != theta0.shape:
+            raise ad.ShapeError(
+                f"flat parameters of shape {flat.shape} do not fit the "
+                f"{scope!r}-scope layout of length {theta0.size}"
+            )
         pieces = []
         pos = 0
         for shp in shapes:

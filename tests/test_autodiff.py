@@ -527,15 +527,25 @@ def fresh_hvp(fn, theta0, v):
 
 def closure_case(case):
     """(theta0, fn) from unlearn.loss_closure on a briefly trained model."""
-    if case.startswith("softmax"):
-        bundle, head, outputs = bg.gen_patch_bias(30, 3, 0, 0.5, 2.5, seed=60), "softmax", 3
-    else:
+    if case.startswith("sigmoid"):
         bundle, head, outputs = bg.gen_attribute_bias(90, 3.0, seed=61), "sigmoid", 1
+    else:
+        bundle, head, outputs = bg.gen_patch_bias(30, 3, 0, 0.5, 2.5, seed=60), "softmax", 3
     X, y, _, _ = bg.stack(bundle.train)
-    model = trained_model([X.shape[1], 6, outputs], head, X, y, 62)
+    if case.startswith("lora"):
+        # Three layers with adapters: the middle layer's input depends on the
+        # parameters, so its vjps form both matmul transposes and linear's
+        # input gradient, which the head scope never asks for.
+        model = md.attach_lora(trained_model([X.shape[1], 6, 5, outputs], head, X, y, 65),
+                               [0, 1], 2, 66)
+        rng = np.random.default_rng(67)
+        for adapter in model.adapters.values():
+            adapter.B.data = rng.normal(size=adapter.B.shape) * 0.3
+    else:
+        model = trained_model([X.shape[1], 6, outputs], head, X, y, 62)
     return ul.loss_closure(model, bundle.train, scope=case.split("-")[1])
 
-@pytest.mark.parametrize("case", ["softmax-head", "sigmoid-head", "softmax-all"])
+@pytest.mark.parametrize("case", ["softmax-head", "sigmoid-head", "softmax-all", "lora-all"])
 def test_hvp_operator_is_bitwise_a_fresh_product(case):
     theta0, fn = closure_case(case)
     hvp = ad.hvp_operator(fn, ad.tensor(theta0))
@@ -545,6 +555,27 @@ def test_hvp_operator_is_bitwise_a_fresh_product(case):
         expected = fresh_hvp(fn, theta0, v)
         assert hvp(v).data.tobytes() == expected
         assert ad.hessian_vector_product(fn, ad.tensor(theta0), v).data.tobytes() == expected
+
+def test_transpose_copies_follow_a_rebound_operand():
+    rng = np.random.default_rng(68)
+    A, B, H, W, b = (ad.tensor(rng.normal(size=s))
+                     for s in [(3, 4), (4, 2), (5, 4), (3, 4), (3,)])
+    C, D = ad.tensor(rng.normal(size=(3, 2))), ad.tensor(rng.normal(size=(5, 3)))
+    leaves = [A, B, H, W, b]
+
+    def build():
+        # Linear in every leaf, so the gradients read the leaves' current
+        # data, not the forward values taken before the rebind.
+        return ad.add(ad.sum_all(ad.mul(ad.matmul(A, B), C)),
+                      ad.sum_all(ad.mul(ad.linear(H, W, b), D)))
+
+    loss = build()
+    first = [g.data.tobytes() for g in ad.grad(loss, leaves)]
+    for t in (A, B, H):
+        t.data = rng.normal(size=t.shape)
+    again = [g.data.tobytes() for g in ad.grad(loss, leaves)]
+    assert again == [g.data.tobytes() for g in ad.grad(build(), leaves)]
+    assert again != first
 
 def test_hvp_operator_products_do_not_leak_state():
     theta0, fn = closure_case("softmax-all")

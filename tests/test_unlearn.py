@@ -362,6 +362,21 @@ def test_influence_reports_nonconvergence():
     assert result.residual_norm > 0.0
 
 
+def test_influence_rejects_a_measure_of_another_scope(patch_setup):
+    bundle, baseline = patch_setup
+    forget = bg.forget_samples(bundle)
+    n_head = md.flat_param_closure(baseline, "head")[0].size
+    n_all = md.flat_param_closure(baseline, "all")[0].size
+    # A head-scope measure would otherwise read the first layer's weights as
+    # head weights and return a converged, wrong value.
+    with pytest.raises(ad.ShapeError, match=rf"\({n_all},\).*length {n_head}"):
+        ul.influence(baseline, forget[0], probe_measure(baseline, forget, "head"),
+                     bundle.train, scope="all")
+    with pytest.raises(ad.ShapeError):
+        ul.influence(baseline, forget[0], probe_measure(baseline, forget, "all"),
+                     bundle.train, scope="head")
+
+
 # ---------------------------------------------------------------------------
 # Newton step.
 # ---------------------------------------------------------------------------
@@ -386,6 +401,44 @@ def test_one_taped_gradient_per_cg_solve(monkeypatch, patch_setup, max_iter):
     taped.clear()
     _, info = ul.newton_unlearn_step(train_fn, theta0, max_iter=max_iter)
     assert info.iterations >= 2 and not info.fallback and taped.count(True) == 1
+
+
+@pytest.mark.parametrize("max_iter", [2, 200])
+def test_hvp_operator_traces_only_when_built(monkeypatch, patch_setup, max_iter):
+    bundle, baseline = patch_setup
+    forget = bg.forget_samples(bundle)
+    _, bias_fn = ul.loss_closure(baseline, forget, "head")
+    theta0, train_fn = ul.loss_closure(baseline, bundle.train, "head")
+    traces, per_build, per_apply = [0], [], []
+    real_trace, real_operator = ad.trace, ad.hvp_operator
+
+    def counting_trace(output):
+        traces[0] += 1
+        return real_trace(output)
+
+    def counting_operator(loss_fn, params):
+        before = traces[0]
+        apply = real_operator(loss_fn, params)
+        per_build.append(traces[0] - before)
+
+        def counted_apply(v):
+            before = traces[0]
+            hv = apply(v)
+            per_apply.append(traces[0] - before)
+            return hv
+
+        return counted_apply
+
+    monkeypatch.setattr(ad, "trace", counting_trace)
+    monkeypatch.setattr(ad, "hvp_operator", counting_operator)
+    result = ul.influence(baseline, forget[0], bias_fn, bundle.train,
+                          scope="head", max_iter=max_iter)
+    _, info = ul.newton_unlearn_step(train_fn, theta0, max_iter=max_iter)
+    assert result.iterations >= 2 and info.iterations >= 2 and not info.fallback
+    # One trace for the taped gradient and one for its backward plan.
+    assert per_build == [2, 2]
+    assert len(per_apply) == result.iterations + info.iterations
+    assert set(per_apply) == {0}
 
 
 def test_newton_quadratic_one_step_exact():
