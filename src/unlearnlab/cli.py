@@ -11,7 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -28,10 +28,13 @@ from . import unlearn as ul
 
 
 def _out_dir(args, default_name: str) -> Path:
+    """The --out directory, or default_name under the output root; created."""
     if args.out:
-        return Path(args.out)
-    root = os.environ.get("UNLEARNLAB_OUT_ROOT", "runs")
-    return Path(root) / default_name
+        out = Path(args.out)
+    else:
+        out = Path(os.environ.get("UNLEARNLAB_OUT_ROOT", "runs")) / default_name
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _config(args) -> hn.ExperimentConfig:
@@ -69,9 +72,7 @@ def _load_or_train_baseline(cfg, bundle, args):
 def cmd_generate(args) -> int:
     cfg = _config(args)
     bundle = hn.build_bundle(cfg, args.seed)
-    out = _out_dir(args, f"{cfg.name}-seed{args.seed}-generate")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "bundle.csv"
+    path = _out_dir(args, f"{cfg.name}-seed{args.seed}-generate") / "bundle.csv"
     bg.save_bundle(bundle, path)
     print(f"bundle: {path} ({len(bundle.train)} train / {len(bundle.val)} val / "
           f"{len(bundle.test)} test, |D_f|={len(bundle.forget_idx)})")
@@ -82,10 +83,8 @@ def cmd_train(args) -> int:
     cfg = _config(args)
     bundle = hn.build_bundle(cfg, args.seed)
     model, wall, units = hn.train_baseline(cfg, bundle, args.seed)
-    out = _out_dir(args, f"{cfg.name}-seed{args.seed}-train")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "baseline.ckpt"
-    md.save_checkpoint(model, path)
+    path = hn.save_model(model, _out_dir(args, f"{cfg.name}-seed{args.seed}-train"),
+                         "baseline")
     print(f"baseline checkpoint: {path} ({wall:.2f}s, {units:.0f} units)")
     return 0
 
@@ -101,14 +100,10 @@ def cmd_unlearn(args) -> int:
     if args.gold:
         gold = _checkpoint_for(bundle, args.gold, "gold checkpoint")
     else:
-        gold = ul.hard_unlearn(
-            bundle, hn._train_config(cfg, args.seed + hn.SEED_GOLD),
-            hn.model_arch(cfg, bundle), head=cfg.head).model
+        gold = hn.train_gold(cfg, bundle, args.seed).model
     result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-{args.strategy}")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{args.strategy}.ckpt"
-    md.save_checkpoint(result.model, path)
+    path = hn.save_model(result.model, out, args.strategy)
     note = " (truncated by divergence guard)" if result.truncated else ""
     print(f"{args.strategy} checkpoint: {path} ({result.wall_time_seconds:.2f}s, "
           f"{result.cost_units:.0f} units){note}")
@@ -122,10 +117,7 @@ def cmd_eval(args) -> int:
     baseline = hn.load_report(args.baseline_report) if args.baseline_report else None
     report = fe.evaluate_model(model, bundle, baseline=baseline)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-eval")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "report.json"
-    path.write_text(json.dumps(hn.report_to_dict(report), indent=2) + "\n",
-                    encoding="utf-8")
+    path = hn.write_json(out / "report.json", hn.report_to_dict(report))
     print(f"report: {path} (FA={report.fa:.4f} RA={report.ra:.4f} "
           f"TA={report.ta:.4f} DP={report.dp_gap:.4f} EO={report.eo_gap:.4f} "
           f"MIA={report.mia_auc:.4f})")
@@ -137,16 +129,10 @@ def cmd_cobum(args) -> int:
     unlearned = hn.load_report(args.unlearned)
     gold = hn.load_report(args.gold_report)
     baseline = hn.load_report(args.baseline_report)
-    scored = cb.score_reports(unlearned, gold, baseline, params,
-                              fa_floor=params.epsilon)
+    scored = cb.score_reports(unlearned, gold, baseline, params)
     parts = " ".join(f"{k}={scored.clamped[k]:.4f}" for k in cb.COMPONENTS)
     print(f"{parts} Co-BUM={scored.composite:.4f}")
-    out = _out_dir(args, "cobum")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "cobum.json"
-    path.write_text(json.dumps({"raw": scored.raw, "clamped": scored.clamped,
-                                "composite": scored.composite}, indent=2) + "\n",
-                    encoding="utf-8")
+    hn.write_json(_out_dir(args, "cobum") / "cobum.json", dataclasses.asdict(scored))
     return 0
 
 
@@ -170,9 +156,7 @@ def cmd_saliency(args) -> int:
             raise hn.UserError("--limit must be >= 1")
         samples = samples[: args.limit]
     rows = np.stack([fe.saliency(model, smp) for smp in samples])
-    out = _out_dir(args, f"{cfg.name}-seed{args.seed}-saliency")
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "saliency.csv"
+    path = _out_dir(args, f"{cfg.name}-seed{args.seed}-saliency") / "saliency.csv"
     cols = ([f"s_{i}" for i in range(bundle.d_s)]
             + [f"b_{i}" for i in range(bundle.d_b)])
     lines = [",".join(["index", "label", "group"] + cols)]

@@ -6,7 +6,7 @@ Components for an unlearned model M_u against gold M_g and baseline M_0:
 
     U = (RA_u/RA_g + TA_u/TA_g) / 2        utility retention
     F = 1 - (N_DP + N_EO) / 2              fairness recovery
-    Q = 1 - FA_u/FA_g                      forgetting quality
+    Q = 1 - FA_u/max(FA_g, epsilon)        forgetting quality
     P = 1 - N_MIA                          privacy
     E = log T_g / log T_u                  efficiency
 
@@ -96,22 +96,18 @@ def component_scores(
     report_gold: EvalReport,
     report_base: EvalReport,
     params: CoBumParams | None = None,
-    fa_floor: float | None = None,
 ) -> CoBumScores:
     """Raw and clamped component scores for one unlearned model.
 
     Times are taken from the reports' deterministic time_units field so that
-    identical runs score identically. fa_floor, when given, substitutes
-    max(FA_g, fa_floor) in Q's denominator; without it a zero gold FA is an
-    error. The floor is for scenarios whose gold model has exactly zero
-    forget accuracy, where the strict ratio is undefined: any nonzero FA_u
-    then scores maximally bad and FA_u = 0 scores 1, the continuous limit.
+    identical runs score identically. Q's denominator is max(FA_g, epsilon):
+    a gold model with exactly zero forget accuracy leaves the plain ratio
+    undefined, and with the floor any nonzero FA_u scores maximally bad while
+    FA_u = 0 scores 1, the continuous limit.
     """
     params = params or CoBumParams()
-    fa_gold = report_gold.fa
-    if fa_floor is not None:
-        fa_gold = max(fa_gold, fa_floor)
-    for name, value in (("RA", report_gold.ra), ("TA", report_gold.ta), ("FA", fa_gold)):
+    fa_gold = max(report_gold.fa, params.epsilon)
+    for name, value in (("RA", report_gold.ra), ("TA", report_gold.ta)):
         if value <= 0.0:
             raise ValueError(f"gold {name} must be positive, got {value}")
 
@@ -149,10 +145,9 @@ def score_reports(
     report_gold: EvalReport,
     report_base: EvalReport,
     params: CoBumParams | None = None,
-    fa_floor: float | None = None,
 ) -> CoBumScores:
     """component_scores + cobum in one call; returns the filled CoBumScores."""
     params = params or CoBumParams()
-    scores = component_scores(report_u, report_gold, report_base, params, fa_floor)
+    scores = component_scores(report_u, report_gold, report_base, params)
     cobum(scores, params)
     return scores

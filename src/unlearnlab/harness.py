@@ -234,6 +234,13 @@ def train_baseline(cfg: ExperimentConfig, bundle: bg.DataBundle,
     return model, wall, float(cfg.train_epochs * len(bundle.train))
 
 
+def train_gold(cfg: ExperimentConfig, bundle: bg.DataBundle,
+               master_seed: int) -> ul.UnlearnResult:
+    """Retrained-from-scratch reference M_g: the Hard row and SCRUB's teacher."""
+    return ul.hard_unlearn(bundle, _train_config(cfg, master_seed + SEED_GOLD),
+                           model_arch(cfg, bundle), head=cfg.head)
+
+
 def run_strategy(name: str, cfg: ExperimentConfig, bundle: bg.DataBundle,
                  baseline: md.ModelParams, gold: md.ModelParams,
                  master_seed: int) -> ul.UnlearnResult:
@@ -246,6 +253,22 @@ def run_strategy(name: str, cfg: ExperimentConfig, bundle: bg.DataBundle,
     if strategy.needs_counterfactual:
         d_c = bg.build_counterfactual(bundle, seed=master_seed + SEED_COUNTERFACTUAL)
     return strategy.run(baseline, gold, bundle, scfg, d_c)
+
+
+def save_model(model: md.ModelParams, out, role: str) -> Path:
+    """Write model as <out>/<role>.ckpt; returns the path."""
+    path = Path(out) / f"{role}.ckpt"
+    md.save_checkpoint(model, path)
+    return path
+
+
+def write_json(path, payload) -> Path:
+    """Write payload as every JSON artifact is written: indent 2, non-ASCII
+    kept as is, UTF-8, one trailing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +359,7 @@ def emit_table(rows: list, fmt: str, path) -> Path:
                 cell = cells[col]
                 entry[col] = cell if cell in ("--", "failed") else float(cell)
             payload["rows"].append(entry)
-        path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                        encoding="utf-8")
+        write_json(path, payload)
     else:
         best = _best_cells(rows)
         lines = ["| " + " | ".join(TABLE_COLUMNS) + " |",
@@ -421,10 +443,7 @@ class RunManifest:
     failed_stage: str | None = None
 
     def write(self, path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2,
-                                   ensure_ascii=False) + "\n", encoding="utf-8")
-        return path
+        return write_json(path, dataclasses.asdict(self))
 
 
 def _sha256(path) -> str:
@@ -476,23 +495,17 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         return bundle
 
     bundle = stage("generate", _generate)
-    arch = model_arch(cfg, bundle)
 
     def _baseline():
         model, wall, units = train_baseline(cfg, bundle, master_seed)
-        ckpt = out / "baseline.ckpt"
-        md.save_checkpoint(model, ckpt)
-        manifest.checkpoints["baseline"] = str(ckpt)
+        manifest.checkpoints["baseline"] = str(save_model(model, out, "baseline"))
         return model, wall, units
 
     baseline, baseline_wall, baseline_units = stage("baseline", _baseline)
 
     def _gold():
-        result = ul.hard_unlearn(bundle, _train_config(cfg, master_seed + SEED_GOLD),
-                                 arch, head=cfg.head)
-        ckpt = out / "gold.ckpt"
-        md.save_checkpoint(result.model, ckpt)
-        manifest.checkpoints["gold"] = str(ckpt)
+        result = train_gold(cfg, bundle, master_seed)
+        manifest.checkpoints["gold"] = str(save_model(result.model, out, "gold"))
         return result
 
     gold_result = stage("gold", _gold)
@@ -509,9 +522,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
             except Exception as e:
                 manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
                 continue
-            ckpt = out / f"{name}.ckpt"
-            md.save_checkpoint(result.model, ckpt)
-            manifest.checkpoints[name] = str(ckpt)
+            manifest.checkpoints[name] = str(save_model(result.model, out, name))
             results[name] = result
         return results
 
@@ -531,26 +542,19 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
                 result.model, bundle,
                 wall_time_seconds=result.wall_time_seconds,
                 time_units=result.cost_units, baseline=base_report)
-        eval_path = out / "eval_reports.json"
-        eval_path.write_text(json.dumps(
-            {name: report_to_dict(r) for name, r in reports.items()},
-            indent=2) + "\n", encoding="utf-8")
+        eval_path = write_json(out / "eval_reports.json",
+                               {name: report_to_dict(r) for name, r in reports.items()})
         manifest.reports["eval_json"] = str(eval_path)
         return reports
 
     reports = stage("evaluate", _evaluate)
 
     def _cobum():
-        scores = {}
-        for name in strategy_results:
-            scored = cb.score_reports(reports[name], reports["gold"],
-                                      reports["baseline"], cfg.cobum_params,
-                                      fa_floor=cfg.cobum_params.epsilon)
-            scores[name] = scored
-        cobum_path = out / "cobum.json"
-        cobum_path.write_text(json.dumps(
-            {name: {"raw": s.raw, "clamped": s.clamped, "composite": s.composite}
-             for name, s in scores.items()}, indent=2) + "\n", encoding="utf-8")
+        scores = {name: cb.score_reports(reports[name], reports["gold"],
+                                         reports["baseline"], cfg.cobum_params)
+                  for name in strategy_results}
+        cobum_path = write_json(out / "cobum.json",
+                                {name: dataclasses.asdict(s) for name, s in scores.items()})
         manifest.reports["cobum_json"] = str(cobum_path)
         return scores
 

@@ -359,14 +359,22 @@ def body_features(model: ModelParams, X) -> np.ndarray:
 
 
 def set_flat_params(model: ModelParams, flat: np.ndarray, scope: str = "all") -> None:
-    """Write a flat vector back into the model's own parameter buffers."""
-    target = model.layers if scope == "all" else model.layers[-1:]
+    """Write a flat vector in flat_param_closure's layout back into the model.
+
+    That layout holds effective weights, so a layer in scope that carries an
+    adapter takes the vector's weight as its own and drops the adapter, as
+    merge_lora does.
+    """
+    first = 0 if scope == "all" else len(model.layers) - 1
     pos = 0
-    for W, b in target:
+    for i, (W, b) in enumerate(model.layers[first:], start=first):
         for t in (W, b):
             size = t.data.size
             t.data = flat[pos : pos + size].reshape(t.data.shape).copy()
             pos += size
+        model.adapters.pop(i, None)
+    if not model.adapters:
+        model.frozen_base = False
     if pos != flat.size:
         raise ad.ShapeError(f"flat vector length {flat.size} != parameter count {pos}")
 

@@ -131,8 +131,6 @@ def test_components_time_floor():
 def test_components_reject_zero_gold_denominator():
     u = mk_report()
     base = mk_report(dp=0.5, eo=0.5, mia=0.9)
-    with pytest.raises(ValueError, match="gold FA"):
-        cb.component_scores(u, mk_report(fa=0.0), base)
     with pytest.raises(ValueError, match="gold RA"):
         cb.component_scores(u, mk_report(fa=0.2, ra=0.0), base)
 
@@ -142,8 +140,9 @@ def test_components_fa_floor_resolves_zero_gold():
     base = mk_report(dp=0.5, eo=0.5, mia=0.9)
     clean = mk_report(fa=0.0)
     leaky = mk_report(fa=0.37)
-    assert cb.component_scores(clean, gold, base, fa_floor=0.01).raw["Q"] == pytest.approx(1.0)
-    scores = cb.component_scores(leaky, gold, base, fa_floor=0.01)
+    params = cb.CoBumParams(epsilon=0.01)
+    assert cb.component_scores(clean, gold, base, params=params).raw["Q"] == pytest.approx(1.0)
+    scores = cb.component_scores(leaky, gold, base, params=params)
     assert scores.raw["Q"] < -30.0
     assert scores.clamped["Q"] == pytest.approx(0.01)
 

@@ -722,3 +722,38 @@ def test_pipeline_calls_traced_functions_through_their_modules(tmp_path, monkeyp
         # Baseline and Hard, plus one per strategy: 6 + 3 + 3.
         "evaluate_model": 12,
     }
+
+
+# ---------------------------------------------------------------------------
+# The stage subcommands against run.
+# ---------------------------------------------------------------------------
+
+REPORT_METRICS = ("fa", "ra", "ta", "dp_gap", "eo_gap", "mia_auc")
+
+
+def test_stage_subcommands_reproduce_run_artifacts(tmp_path, capsys):
+    config = str(write_config(tmp_path, TINY_RUNS["patch"], "tiny.cfg"))
+    common = ["--config", config, "--seed", "7"]
+    run = tmp_path / "run"
+    assert cli.main(["run", *common, "--out", str(run)]) == 0
+    assert cli.main(["generate", *common, "--out", str(tmp_path / "g")]) == 0
+    assert (tmp_path / "g" / "bundle.csv").read_bytes() == (run / "bundle.csv").read_bytes()
+    assert cli.main(["train", *common, "--out", str(tmp_path / "t")]) == 0
+    assert ((tmp_path / "t" / "baseline.ckpt").read_bytes()
+            == (run / "baseline.ckpt").read_bytes())
+    run_reports = json.loads((run / "eval_reports.json").read_text())
+    strategies = hn.load_config(config).strategies
+    assert set(strategies) == set(ul.POST_HOC_STRATEGIES)
+    for name in strategies:
+        # No --gold: scrub's teacher is retrained in place, as run trains it.
+        out = tmp_path / f"u-{name}"
+        assert cli.main(["unlearn", *common, "--strategy", name, "--baseline",
+                         str(run / "baseline.ckpt"), "--out", str(out)]) == 0
+        ckpt = out / f"{name}.ckpt"
+        assert ckpt.read_bytes() == (run / f"{name}.ckpt").read_bytes(), name
+        assert cli.main(["eval", *common, "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / f"e-{name}")]) == 0
+        report = json.loads((tmp_path / f"e-{name}" / "report.json").read_text())
+        assert {k: report[k] for k in REPORT_METRICS} == {
+            k: run_reports[name][k] for k in REPORT_METRICS}, name
+    capsys.readouterr()

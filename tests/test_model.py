@@ -197,6 +197,22 @@ def test_full_rank_adapter_can_fit_arbitrary_update():
     err = np.linalg.norm(m.adapters[0].A.data @ m.adapters[0].B.data - target)
     assert err <= 1e-3
 
+@pytest.mark.parametrize("scope", ["head", "all"])
+@pytest.mark.parametrize("adapter", [False, True], ids=["plain", "lora"])
+def test_set_flat_params_writes_back_the_closure_layout(scope, adapter):
+    # A head-scope adapter only sits in scope when the head is layer 0.
+    sizes = [4, 3] if scope == "head" and adapter else [4, 5, 3]
+    m = md.init_model(sizes, "softmax", seed=24)
+    if adapter:
+        md.attach_lora(m, [0], rank=2, seed=25)
+        m.adapters[0].B.data = np.random.default_rng(26).normal(size=(2, 4))
+    X = np.random.default_rng(27).normal(size=(6, 4))
+    before = md.forward(m, X).data.tobytes()
+    md.set_flat_params(m, md.flat_param_closure(m, scope)[0], scope)
+    assert md.forward(m, X).data.tobytes() == before
+    assert not m.adapters and not m.frozen_base
+
+
 def test_adapter_rank_bounds_enforced():
     m = md.init_model([5, 3], "softmax", seed=26)
     with pytest.raises(ValueError):
