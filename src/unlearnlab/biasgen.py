@@ -15,10 +15,11 @@ the label, and bias features b that carry the shortcut. Three constructions:
 Each kind is one Scenario record in SCENARIOS, so adding a kind takes a
 gen_* function and one record.
 
-Splits are 70/10/20 with floor rounding. The forget set D_f is always a set
-of train indices; D_r is its complement. Bundles serialize to a columnar text
-file (one header line, one row per sample) plus a JSON sidecar for the
-generator identity, and round-trip losslessly.
+Splits are 70/10/20 with floor rounding. Each split is a numpy record array
+(see rows): split[i].s is one sample's s, split.s the whole split's. D_f is
+a set of train indices; D_r is its complement. Bundles serialize to a
+columnar text file (one header line, one row per sample) plus a JSON sidecar
+for the generator identity, and round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -33,17 +34,16 @@ import numpy as np
 SPLITS = ("train", "val", "test")
 
 
-@dataclass
-class Sample:
-    s: np.ndarray
-    b: np.ndarray
-    label: int
-    group: int
-    bias_flag: bool
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.concatenate([self.s, self.b])
+def rows(s, b, label, group, bias_flag) -> np.recarray:
+    """A record array with one record per sample: fields s (d_s floats),
+    b (d_b floats), label, group and bias_flag."""
+    s, b = np.asarray(s, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    out = np.recarray(len(s), dtype=[
+        ("s", np.float64, s.shape[1:]), ("b", np.float64, b.shape[1:]),
+        ("label", np.int64), ("group", np.int64), ("bias_flag", np.bool_),
+    ])
+    out.s, out.b, out.label, out.group, out.bias_flag = s, b, label, group, bias_flag
+    return out
 
 
 @dataclass
@@ -52,47 +52,37 @@ class DataBundle:
     d_s: int
     d_b: int
     n_classes: int
-    train: list[Sample]
-    val: list[Sample]
-    test: list[Sample]
+    train: np.recarray
+    val: np.recarray
+    test: np.recarray
     forget_idx: np.ndarray
     seed: int
     meta: dict = field(default_factory=dict)
-    counterfactual: list[Sample] | None = None
 
     @property
     def retain_idx(self) -> np.ndarray:
-        mask = np.ones(len(self.train), dtype=bool)
-        mask[self.forget_idx] = False
-        return np.flatnonzero(mask)
+        return np.setdiff1d(np.arange(len(self.train)), self.forget_idx)
 
-    def split(self, name: str) -> list[Sample]:
+    def split(self, name: str) -> np.recarray:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}")
         return getattr(self, name)
 
 
-def stack(samples: list[Sample]):
-    """(X, y, groups, flags) arrays for a sample list."""
-    if not samples:
-        d = 0
-        return (np.zeros((0, d)), np.zeros(0, int), np.zeros(0, int), np.zeros(0, bool))
-    # One copy per block: the same bytes as stacking each row's smp.x.
-    X = np.concatenate(
-        [np.stack([smp.s for smp in samples]), np.stack([smp.b for smp in samples])], axis=1
-    )
-    y = np.array([smp.label for smp in samples], dtype=np.int64)
-    g = np.array([smp.group for smp in samples], dtype=np.int64)
-    f = np.array([smp.bias_flag for smp in samples], dtype=bool)
-    return X, y, g, f
+def stack(samples):
+    """(X, y, groups, flags) arrays for a record array or one record;
+    X is [s | b] per row."""
+    samples = np.atleast_1d(samples)
+    X = np.concatenate([samples["s"], samples["b"]], axis=1)
+    return X, samples["label"].copy(), samples["group"].copy(), samples["bias_flag"].copy()
 
 
-def forget_samples(bundle: DataBundle) -> list[Sample]:
-    return [bundle.train[i] for i in bundle.forget_idx]
+def forget_samples(bundle: DataBundle) -> np.recarray:
+    return bundle.train[bundle.forget_idx]
 
 
-def retain_samples(bundle: DataBundle) -> list[Sample]:
-    return [bundle.train[i] for i in bundle.retain_idx]
+def retain_samples(bundle: DataBundle) -> np.recarray:
+    return bundle.train[bundle.retain_idx]
 
 
 def split_sizes(n: int) -> tuple[int, int, int]:
@@ -169,41 +159,28 @@ def gen_patch_bias(
         n_per_class - per_class["train"][c] - per_class["val"][c] for c in range(n_classes)
     ]
 
-    splits: dict[str, list[Sample]] = {"train": [], "val": [], "test": []}
+    blocks: dict[str, list] = {name: [] for name in SPLITS}
     for c in range(n_classes):
         for split_name in SPLITS:
             count = per_class[split_name][c]
             s_noise = rng.normal(size=(count, d_s))
             b_noise = rng.normal(size=(count, d_b))
-            for i in range(count):
-                splits[split_name].append(
-                    Sample(means[c] + s_noise[i], b_noise[i], c, 0, False)
-                )
+            blocks[split_name].append(rows(means[c] + s_noise, b_noise, c, 0, False))
+    splits = {name: np.concatenate(parts).view(np.recarray) for name, parts in blocks.items()}
 
-    def flag(sample: Sample) -> None:
-        # Re-center the same s-noise on the displaced confuser mean; overwrite b.
-        sample.s = sample.s - means[sample.label] + confuser_scale * means[confuser_class]
-        sample.b = np.full(d_b, float(marker_value))
-        sample.group = 1
-        sample.bias_flag = True
+    # Flag floor(fraction * n) target rows of train and of test: re-center
+    # their s-noise on the displaced confuser mean and overwrite b.
+    for split, fraction in ((splits["train"], patch_fraction), (splits["test"], 0.5)):
+        target = np.flatnonzero(split.label == target_class)
+        idx = target[rng.choice(len(target), size=int(np.floor(fraction * len(target))),
+                                replace=False)]
+        split.s[idx] = split.s[idx] - means[target_class] + confuser_scale * means[confuser_class]
+        split.b[idx], split.group[idx], split.bias_flag[idx] = marker_value, 1, True
 
-    train_target = [i for i, smp in enumerate(splits["train"]) if smp.label == target_class]
-    n_flag = int(np.floor(patch_fraction * len(train_target)))
-    chosen = rng.choice(len(train_target), size=n_flag, replace=False)
-    for j in sorted(chosen):
-        flag(splits["train"][train_target[j]])
-
-    test_target = [i for i, smp in enumerate(splits["test"]) if smp.label == target_class]
-    for j in sorted(rng.choice(len(test_target), size=len(test_target) // 2, replace=False)):
-        flag(splits["test"][test_target[j]])
-
-    forget_idx = np.array(
-        [i for i, smp in enumerate(splits["train"]) if smp.bias_flag], dtype=np.int64
-    )
     return DataBundle(
         kind="patch", d_s=d_s, d_b=d_b, n_classes=n_classes,
         train=splits["train"], val=splits["val"], test=splits["test"],
-        forget_idx=forget_idx, seed=seed,
+        forget_idx=np.flatnonzero(splits["train"].bias_flag), seed=seed,
         meta={
             "target_class": target_class, "confuser_class": confuser_class,
             "p": patch_fraction, "marker_value": float(marker_value),
@@ -267,25 +244,23 @@ def gen_attribute_bias(
     u_group = rng.normal(size=d_b)
     u_group /= np.linalg.norm(u_group)
 
-    splits: dict[str, list[Sample]] = {"train": [], "val": [], "test": []}
+    splits = {}
     for split_name, part in zip(SPLITS, split_sizes(n)):
         half = part // 2
         counts = _cell_counts(half, part - half, corr_ratio)
+        blocks = []
         for (g, y), count in sorted(counts.items()):
             s_noise = rng.normal(size=(count, d_s))
             b_noise = rng.normal(size=(count, d_b))
-            for i in range(count):
-                s = (2 * y - 1) * label_sep * u_label + s_noise[i]
-                b = (1 - 2 * g) * group_sep * u_group + b_noise[i]
-                splits[split_name].append(Sample(s, b, y, g, g == 0 and y == 1))
+            blocks.append(rows((2 * y - 1) * label_sep * u_label + s_noise,
+                               (1 - 2 * g) * group_sep * u_group + b_noise,
+                               y, g, g == 0 and y == 1))
+        splits[split_name] = np.concatenate(blocks).view(np.recarray)
 
-    forget_idx = np.array(
-        [i for i, smp in enumerate(splits["train"]) if smp.bias_flag], dtype=np.int64
-    )
     return DataBundle(
         kind="attribute", d_s=d_s, d_b=d_b, n_classes=2,
         train=splits["train"], val=splits["val"], test=splits["test"],
-        forget_idx=forget_idx, seed=seed,
+        forget_idx=np.flatnonzero(splits["train"].bias_flag), seed=seed,
         meta={
             "corr_ratio": corr_ratio, "label_direction": u_label.tolist(),
             "label_sep": label_sep, "group_sep": group_sep,
@@ -324,34 +299,32 @@ def gen_pose_bias(
     means = _class_means(n_classes, d_s, class_sep)
     favored = list(range(max(1, n_classes // 4)))
 
-    n_tr, n_va, n_te = split_sizes(n)
-    scales = {
-        "train": rng.lognormal(mean=0.0, sigma=scale_sigma, size=n_tr),
-        "val": rng.lognormal(mean=0.0, sigma=scale_sigma, size=n_va),
-        "test": rng.lognormal(mean=0.0, sigma=scale_sigma, size=n_te),
-    }
+    scales = {name: rng.lognormal(mean=0.0, sigma=scale_sigma, size=size)
+              for name, size in zip(SPLITS, split_sizes(n))}
     cuts = np.quantile(scales["train"], [1.0 / 3.0, 2.0 / 3.0])
     mu, sd = float(scales["train"].mean()), float(scales["train"].std())
 
-    splits: dict[str, list[Sample]] = {"train": [], "val": [], "test": []}
+    splits = {}
     for split_name in SPLITS:
-        for raw_scale in scales[split_name]:
+        n_split = len(scales[split_name])
+        S, B = np.empty((n_split, d_s)), np.empty((n_split, d_b))
+        labels, bins = np.empty(n_split, np.int64), np.empty(n_split, np.int64)
+        for i, raw_scale in enumerate(scales[split_name]):
             bin_id = int(np.searchsorted(cuts, raw_scale, side="right"))
             if bin_id == 2 and rng.uniform() < skew:
                 label = int(rng.choice(favored))
             else:
                 label = int(rng.integers(0, n_classes))
-            s = means[label] + rng.normal(size=d_s)
-            b = np.append(rng.normal(size=d_b - 1), (raw_scale - mu) / sd)
-            splits[split_name].append(Sample(s, b, label, bin_id, bin_id == 2))
+            S[i] = means[label] + rng.normal(size=d_s)
+            B[i, :-1] = rng.normal(size=d_b - 1)
+            B[i, -1] = (raw_scale - mu) / sd
+            labels[i], bins[i] = label, bin_id
+        splits[split_name] = rows(S, B, labels, bins, bins == 2)
 
-    forget_idx = np.array(
-        [i for i, smp in enumerate(splits["train"]) if smp.group == 2], dtype=np.int64
-    )
     return DataBundle(
         kind="pose", d_s=d_s, d_b=d_b, n_classes=n_classes,
         train=splits["train"], val=splits["val"], test=splits["test"],
-        forget_idx=forget_idx, seed=seed,
+        forget_idx=np.flatnonzero(splits["train"].bias_flag), seed=seed,
         meta={
             "skew": skew, "favored_classes": favored,
             "scale_cuts": [float(c) for c in cuts],
@@ -364,33 +337,30 @@ def gen_pose_bias(
 # Counterfactuals.
 # ---------------------------------------------------------------------------
 
-def _mask_patch(bundle: DataBundle, rng: np.random.Generator) -> list[Sample]:
+def _mask_patch(bundle: DataBundle, rng: np.random.Generator) -> np.recarray:
     """Forget rows in order: bit-exact s, fresh b noise, labels kept."""
-    return [Sample(smp.s.copy(), rng.normal(size=bundle.d_b), smp.label, 0, False)
-            for smp in forget_samples(bundle)]
+    forget = forget_samples(bundle)
+    return rows(forget.s, rng.normal(size=(len(forget), bundle.d_b)), forget.label, 0, False)
 
 
-def _rebalance_bins(bundle: DataBundle, rng: np.random.Generator) -> list[Sample]:
+def _rebalance_bins(bundle: DataBundle, rng: np.random.Generator) -> np.recarray:
     """Train rows resampled to uniform bin marginals, (s, label) untouched."""
     per_bin = len(bundle.train) // 3
-    d_c = []
+    picks = []
     for bin_id in range(3):
-        members = [smp for smp in bundle.train if smp.group == bin_id]
-        if not members:
+        members = np.flatnonzero(bundle.train.group == bin_id)
+        if not len(members):
             raise ValueError(f"bin {bin_id} is empty; cannot rebalance")
-        for j in rng.integers(0, len(members), size=per_bin):
-            src = members[j]
-            d_c.append(Sample(src.s.copy(), src.b.copy(), src.label, src.group, src.bias_flag))
-    return d_c
+        picks.append(members[rng.integers(0, len(members), size=per_bin)])
+    return bundle.train[np.concatenate(picks)]
 
 
-def build_counterfactual(bundle: DataBundle, seed: int) -> list[Sample]:
-    """D_c by the bundle's scenario recipe; also attached to the bundle."""
+def build_counterfactual(bundle: DataBundle, seed: int) -> np.recarray:
+    """D_c by the bundle's scenario recipe."""
     recipe = SCENARIOS[bundle.kind].counterfactual
     if recipe is None:
         raise ValueError(f"no counterfactual recipe for {bundle.kind!r} bundles")
-    bundle.counterfactual = recipe(bundle, np.random.default_rng(seed))
-    return bundle.counterfactual
+    return recipe(bundle, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +382,7 @@ class Scenario:
     positive_classes: Callable[[dict], list]
     sensitive_group: int
     eo_policy: str
-    counterfactual: Callable[[DataBundle, np.random.Generator], list[Sample]] | None = None
+    counterfactual: Callable[[DataBundle, np.random.Generator], np.recarray] | None = None
     paired_counterfactual: bool = False
 
     @property
@@ -435,25 +405,26 @@ SCENARIOS = {
 # Columnar serialization.
 # ---------------------------------------------------------------------------
 
+def _header(d_s: int, d_b: int) -> list[str]:
+    return ([f"s_{i}" for i in range(d_s)] + [f"b_{i}" for i in range(d_b)]
+            + ["label", "group", "bias_flag", "split", "forget"])
+
+
 def save_bundle(bundle: DataBundle, path) -> None:
     """Write the columnar sample table and a JSON sidecar with generator identity."""
     path = Path(path)
-    cols = (
-        [f"s_{i}" for i in range(bundle.d_s)]
-        + [f"b_{i}" for i in range(bundle.d_b)]
-        + ["label", "group", "bias_flag", "split", "forget"]
-    )
-    forget_set = set(int(i) for i in bundle.forget_idx)
-    lines = [",".join(cols)]
+    lines = [",".join(_header(bundle.d_s, bundle.d_b))]
     for split_name in SPLITS:
-        for i, smp in enumerate(bundle.split(split_name)):
-            in_forget = split_name == "train" and i in forget_set
-            # .tolist() yields python floats, whose repr is repr(float(v)):
-            # one conversion per block instead of one per element.
-            row = [*map(repr, smp.s.tolist()), *map(repr, smp.b.tolist()),
-                   str(smp.label), str(smp.group), str(int(smp.bias_flag)),
-                   split_name, str(int(in_forget))]
-            lines.append(",".join(row))
+        part = bundle.split(split_name)
+        forget = np.zeros(len(part), dtype=np.int64)
+        if split_name == "train":
+            forget[bundle.forget_idx] = 1
+        tails = zip(part.label.tolist(), part.group.tolist(),
+                    part.bias_flag.astype(np.int64).tolist(), forget.tolist())
+        # .tolist() yields python floats, whose repr is repr(float(v)).
+        for x, (label, group, flag, in_forget) in zip(stack(part)[0].tolist(), tails):
+            lines.append(f"{','.join(map(repr, x))},{label},{group},{flag},"
+                         f"{split_name},{in_forget}")
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
         "kind": bundle.kind, "d_s": bundle.d_s, "d_b": bundle.d_b,
@@ -463,43 +434,69 @@ def save_bundle(bundle: DataBundle, path) -> None:
 
 
 def load_bundle(path) -> DataBundle:
+    """Read a bundle written by save_bundle. Malformed input (a sidecar key
+    missing or mistyped, a short or long row, a bad or non-finite cell, a
+    label outside the classes, a flag not 0/1) raises ValueError naming the file."""
     path = Path(path)
     sidecar_path = Path(str(path) + ".meta.json")
     if not sidecar_path.exists():
         raise ValueError(f"bundle sidecar {sidecar_path} is missing")
-    sidecar = json.loads(sidecar_path.read_text())
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"bundle sidecar {sidecar_path}: {e}") from e
+    for key, kind in {"kind": str, "d_s": int, "d_b": int, "n_classes": int, "seed": int,
+                      "meta": dict}.items():
+        value = sidecar.get(key) if isinstance(sidecar, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"bundle sidecar {sidecar_path}: {key!r} is missing "
+                             f"or not a {kind.__name__}")
     if sidecar["kind"] not in SCENARIOS:
         raise ValueError(f"bundle {path}: unknown scenario kind {sidecar['kind']!r}")
-    d_s, d_b = int(sidecar["d_s"]), int(sidecar["d_b"])
+    d_s, d_b, n_classes = sidecar["d_s"], sidecar["d_b"], sidecar["n_classes"]
+    if d_s < 1 or d_b < 0 or n_classes < 2:
+        raise ValueError(f"bundle sidecar {sidecar_path}: need d_s >= 1, d_b >= 0 "
+                         "and n_classes >= 2")
 
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split(",")
-    expected = (
-        [f"s_{i}" for i in range(d_s)] + [f"b_{i}" for i in range(d_b)]
-        + ["label", "group", "bias_flag", "split", "forget"]
-    )
-    if header != expected:
+    try:
+        lines = path.read_text(encoding="utf-8").strip().split("\n")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"bundle {path}: {e}") from e
+    if lines[0].split(",") != _header(d_s, d_b):
         raise ValueError(f"bundle {path}: header does not match sidecar dimensions")
+    d = d_s + d_b
+    table = [line.split(",") for line in lines[1:]]
+    for number, cells in enumerate(table, start=2):
+        if len(cells) != d + 5:
+            raise ValueError(f"bundle {path}: line {number} has {len(cells)} cells, "
+                             f"expected {d + 5}")
+    split_of = np.array([cells[-2] for cells in table], dtype=str)
+    try:
+        values = np.array([cells[:d] for cells in table], dtype=np.float64).reshape(-1, d)
+        label, group, flag, forget = np.array(
+            [cells[d:-2] + cells[-1:] for cells in table], dtype=np.int64).reshape(-1, 4).T
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"bundle {path}: {e}") from e
+    unknown = sorted(set(split_of.tolist()) - set(SPLITS))
+    if unknown:
+        raise ValueError(f"bundle {path}: unknown split {unknown[0]!r}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"bundle {path}: non-finite feature cell")
+    if ((label < 0) | (label >= n_classes)).any():
+        raise ValueError(f"bundle {path}: label outside [0, {n_classes})")
+    if not np.isin(np.concatenate([flag, forget]), (0, 1)).all():
+        raise ValueError(f"bundle {path}: bias_flag and forget cells must be 0 or 1")
+    misplaced = split_of[(forget == 1) & (split_of != "train")]
+    if len(misplaced):
+        raise ValueError(f"bundle {path}: forget=1 on a {misplaced[0]} row")
 
-    splits: dict[str, list[Sample]] = {"train": [], "val": [], "test": []}
-    forget_idx = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        s = np.array([float(v) for v in parts[:d_s]])
-        b = np.array([float(v) for v in parts[d_s : d_s + d_b]])
-        label, group, flag = int(parts[-5]), int(parts[-4]), bool(int(parts[-3]))
-        split_name, forget = parts[-2], bool(int(parts[-1]))
-        if split_name not in SPLITS:
-            raise ValueError(f"bundle {path}: unknown split {split_name!r}")
-        if forget:
-            if split_name != "train":
-                raise ValueError(f"bundle {path}: forget=1 on a {split_name} row")
-            forget_idx.append(len(splits["train"]))
-        splits[split_name].append(Sample(s, b, label, group, flag))
-
+    splits = {}
+    for name in SPLITS:
+        at = split_of == name
+        splits[name] = rows(values[at, :d_s], values[at, d_s:], label[at], group[at], flag[at] == 1)
     return DataBundle(
-        kind=sidecar["kind"], d_s=d_s, d_b=d_b, n_classes=int(sidecar["n_classes"]),
+        kind=sidecar["kind"], d_s=d_s, d_b=d_b, n_classes=n_classes,
         train=splits["train"], val=splits["val"], test=splits["test"],
-        forget_idx=np.array(forget_idx, dtype=np.int64), seed=int(sidecar["seed"]),
-        meta=sidecar.get("meta", {}),
+        forget_idx=np.flatnonzero(forget[split_of == "train"]),
+        seed=sidecar["seed"], meta=sidecar["meta"],
     )

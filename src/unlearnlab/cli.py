@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import biasgen as bg
 from . import cobum as cb
@@ -97,10 +95,10 @@ def cmd_unlearn(args) -> int:
             f"(has: {', '.join(cfg.strategies)})")
     bundle = hn.build_bundle(cfg, args.seed)
     baseline = _load_or_train_baseline(cfg, bundle, args)
-    if args.gold:
-        gold = _checkpoint_for(bundle, args.gold, "gold checkpoint")
-    else:
-        gold = hn.train_gold(cfg, bundle, args.seed).model
+    gold = None
+    if ul.POST_HOC_STRATEGIES[args.strategy].needs_teacher:
+        gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold
+                else hn.train_gold(cfg, bundle, args.seed).model)
     result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-{args.strategy}")
     path = hn.save_model(result.model, out, args.strategy)
@@ -155,14 +153,13 @@ def cmd_saliency(args) -> int:
         if args.limit < 1:
             raise hn.UserError("--limit must be >= 1")
         samples = samples[: args.limit]
-    rows = np.stack([fe.saliency(model, smp) for smp in samples])
     path = _out_dir(args, f"{cfg.name}-seed{args.seed}-saliency") / "saliency.csv"
     cols = ([f"s_{i}" for i in range(bundle.d_s)]
             + [f"b_{i}" for i in range(bundle.d_b)])
     lines = [",".join(["index", "label", "group"] + cols)]
-    for i, (smp, sal) in enumerate(zip(samples, rows)):
+    for i, smp in enumerate(samples):
         lines.append(",".join([str(i), str(smp.label), str(smp.group)]
-                              + [f"{v:.6f}" for v in sal]))
+                              + [f"{v:.6f}" for v in fe.saliency(model, smp)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"saliency: {path} ({len(samples)} rows from {args.split})")
     return 0
@@ -192,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", help="baseline checkpoint to start from "
                    "(default: retrain in place)")
     p.add_argument("--gold", help="gold checkpoint for scrub's teacher "
-                   "(default: retrain in place)")
+                   "(default: retrain in place; other strategies ignore it)")
     p = add("eval", cmd_eval, "evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--baseline-report", help="baseline report.json for drop columns")

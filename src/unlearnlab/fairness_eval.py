@@ -36,8 +36,8 @@ class EvalReport:
     eo_drop_pct: float | None = None
 
 
-def accuracy(model: md.ModelParams, samples: list[bg.Sample]) -> float:
-    if not samples:
+def accuracy(model: md.ModelParams, samples: np.recarray) -> float:
+    if not len(samples):
         raise ValueError("accuracy: empty sample list")
     X, y, _, _ = bg.stack(samples)
     return float((md.predict(model, X) == y).mean())
@@ -123,9 +123,9 @@ def auc_from_scores(member_scores: np.ndarray, nonmember_scores: np.ndarray) -> 
     return float(wins) / (m.size * n.size)
 
 
-def mia_auc(model: md.ModelParams, members: list[bg.Sample], nonmembers: list[bg.Sample]) -> float:
+def mia_auc(model: md.ModelParams, members: np.recarray, nonmembers: np.recarray) -> float:
     """Loss-threshold membership attack: lower loss reads as "was trained on"."""
-    if not members or not nonmembers:
+    if not len(members) or not len(nonmembers):
         raise ValueError("mia_auc: empty member or nonmember set")
     Xm, ym, _, _ = bg.stack(members)
     Xn, yn, _, _ = bg.stack(nonmembers)
@@ -158,9 +158,9 @@ def _winning_logit_input_grads(model: md.ModelParams, X: np.ndarray) -> np.ndarr
     return g.data
 
 
-def bias_gradient_ratio(model: md.ModelParams, samples: list[bg.Sample], d_s: int) -> float:
+def bias_gradient_ratio(model: md.ModelParams, samples: np.recarray, d_s: int) -> float:
     """Mean over samples of ||d f / d b|| / (||d f / d s|| + 1e-12), f = winning logit."""
-    if not samples:
+    if not len(samples):
         raise ValueError("bias_gradient_ratio: empty sample list")
     X = bg.stack(samples)[0]
     grads = _winning_logit_input_grads(model, X)
@@ -169,9 +169,9 @@ def bias_gradient_ratio(model: md.ModelParams, samples: list[bg.Sample], d_s: in
     return float(np.mean(b_norm / (s_norm + 1e-12)))
 
 
-def saliency(model: md.ModelParams, sample: bg.Sample) -> np.ndarray:
+def saliency(model: md.ModelParams, sample: np.record) -> np.ndarray:
     """Per-feature |d(winning logit)/d x|, scaled to unit maximum."""
-    grads = np.abs(_winning_logit_input_grads(model, sample.x[None, :])[0])
+    grads = np.abs(_winning_logit_input_grads(model, bg.stack(sample)[0])[0])
     top = grads.max()
     if top == 0.0:
         return grads
@@ -204,7 +204,7 @@ def evaluate_model(
     its binarization and its EO policy."""
     forget = bg.forget_samples(bundle)
     retain = bg.retain_samples(bundle)
-    fa = accuracy(model, forget) if forget else float("nan")
+    fa = accuracy(model, forget) if len(forget) else float("nan")
     ra = accuracy(model, retain)
     ta = accuracy(model, bundle.test)
 
@@ -217,7 +217,7 @@ def evaluate_model(
     eo = equalized_odds_gap(bin_preds, bin_labels, bin_groups,
                             on_missing=bg.SCENARIOS[bundle.kind].eo_policy)
 
-    mia = mia_auc(model, forget, bundle.test) if forget else float("nan")
+    mia = mia_auc(model, forget, bundle.test) if len(forget) else float("nan")
 
     report = EvalReport(
         fa=fa, ra=ra, ta=ta, dp_gap=dp, eo_gap=eo, mia_auc=mia,

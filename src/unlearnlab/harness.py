@@ -242,7 +242,7 @@ def train_gold(cfg: ExperimentConfig, bundle: bg.DataBundle,
 
 
 def run_strategy(name: str, cfg: ExperimentConfig, bundle: bg.DataBundle,
-                 baseline: md.ModelParams, gold: md.ModelParams,
+                 baseline: md.ModelParams, gold: md.ModelParams | None,
                  master_seed: int) -> ul.UnlearnResult:
     """Dispatch one post-hoc strategy against the shared baseline/gold pair."""
     position = cfg.strategies.index(name)
@@ -515,7 +515,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         for name in cfg.strategies:
             # Fresh copies from disk: strategies must not share live objects.
             base_copy = md.load_checkpoint(manifest.checkpoints["baseline"])
-            gold_copy = md.load_checkpoint(manifest.checkpoints["gold"])
+            gold_copy = (md.load_checkpoint(manifest.checkpoints["gold"])
+                         if ul.POST_HOC_STRATEGIES[name].needs_teacher else None)
             try:
                 result = run_strategy(name, cfg, bundle, base_copy, gold_copy,
                                       master_seed)

@@ -73,23 +73,24 @@ class UnlearnResult:
     extra: dict = field(default_factory=dict)
 
 
-def _mean_loss(model: md.ModelParams, samples: list[bg.Sample]) -> float:
-    if not samples:
+def _mean_loss(model: md.ModelParams, samples: np.recarray) -> float:
+    if not len(samples):
         return float("nan")
     X, y, _, _ = bg.stack(samples)
     return float(np.mean(md.per_sample_loss(model, X, y)))
 
 
-def loss_closure(model: md.ModelParams, samples: list[bg.Sample], scope: str = "all"):
-    """(theta0, fn) where fn maps a flat parameter tensor to the mean loss.
+def loss_closure(model: md.ModelParams, samples, scope: str = "all"):
+    """(theta0, fn) where fn maps a flat parameter tensor to the mean loss
+    over samples, a record array or one record.
 
     The flat layout is the model module's flat_param_closure layout; with
     scope "head" the body activations are frozen at the model's current
     weights and only the last layer is a function of the flat vector.
     """
-    if not samples:
-        raise ValueError("loss_closure: empty sample list")
     X, y, _, _ = bg.stack(samples)
+    if not len(X):
+        raise ValueError("loss_closure: empty sample set")
     theta0, rebuild = md.flat_param_closure(model, scope)
     inputs = md.body_features(model, X) if scope == "head" else X
     head = model.head
@@ -113,7 +114,7 @@ def hard_unlearn(
 ) -> UnlearnResult:
     """Fresh-initialized model trained on D_r only; the retraining oracle."""
     retain = bg.retain_samples(bundle)
-    if not retain:
+    if not len(retain):
         raise ValueError("hard_unlearn: empty retain set")
     X, y, _, _ = bg.stack(retain)
     model = md.init_model(layer_sizes, head, train_config.seed)
@@ -145,9 +146,9 @@ def gradient_ascent(
     """
     forget = bg.forget_samples(bundle)
     retain = bg.retain_samples(bundle)
-    if not forget:
+    if not len(forget):
         raise ValueError("gradient_ascent: empty forget set")
-    if not retain:
+    if not len(retain):
         raise ValueError("gradient_ascent: empty retain set")
     Xf, yf, _, _ = bg.stack(forget)
     Xr, yr, _, _ = bg.stack(retain)
@@ -210,7 +211,7 @@ def lora_unlearn(
         raise ValueError("lora_unlearn: model already carries adapters")
     forget = bg.forget_samples(bundle)
     retain = bg.retain_samples(bundle)
-    if not retain:
+    if not len(retain):
         raise ValueError("lora_unlearn: empty retain set")
     Xr, yr, _, _ = bg.stack(retain)
     Xf, yf, _, _ = bg.stack(forget)
@@ -223,7 +224,7 @@ def lora_unlearn(
     params = md.trainable_params(work)
     opt = md.Adam(params, cfg.eta)
 
-    use_forget = bool(forget) and cfg.beta > 0.0
+    use_forget = len(forget) > 0 and cfg.beta > 0.0
     t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
@@ -303,15 +304,15 @@ def scrub_unlearn(
         )
     forget = bg.forget_samples(bundle)
     retain = bg.retain_samples(bundle)
-    if not retain:
+    if not len(retain):
         raise ValueError("scrub_unlearn: empty retain set")
     Xr, yr, _, _ = bg.stack(retain)
     Xf, yf, _, _ = bg.stack(forget)
     teacher_r = md.predict_proba(teacher, Xr)
-    teacher_f = md.predict_proba(teacher, Xf) if forget else None
+    teacher_f = md.predict_proba(teacher, Xf) if len(forget) else None
     plogp_r = _plogp_terms(teacher_r, baseline.head)
-    plogp_f = _plogp_terms(teacher_f, baseline.head) if forget else None
-    batch = min(len(retain), len(forget)) if forget else min(64, len(retain))
+    plogp_f = _plogp_terms(teacher_f, baseline.head) if len(forget) else None
+    batch = min(len(retain), len(forget)) if len(forget) else min(64, len(retain))
     rng = np.random.default_rng(cfg.seed)
 
     student = md.copy_model(baseline)
@@ -330,7 +331,7 @@ def scrub_unlearn(
 
         forget_kl_val = 0.0
         forget_used = 0.0
-        if forget:
+        if len(forget):
             z_f = md.forward(student, Xf)
             forget_kl = _kl_to_teacher(teacher_f, plogp_f, z_f, student.head)
             forget_kl_val = float(forget_kl.data)
@@ -373,9 +374,9 @@ class InfluenceResult:
 
 def influence(
     model: md.ModelParams,
-    sample: bg.Sample,
+    sample: np.record,
     bias_measure: Callable[[ad.Tensor], ad.Tensor],
-    train_samples: list[bg.Sample],
+    train_samples: np.recarray,
     damping: float = 1e-2,
     scope: str = "all",
     max_iter: int = 200,
@@ -400,7 +401,7 @@ def influence(
         lambda v: hvp(v).data, g_bias.data, damping=damping, max_iter=max_iter, tol=tol,
     )
 
-    _, sample_fn = loss_closure(model, [sample], scope)
+    _, sample_fn = loss_closure(model, sample, scope)
     sample_leaf = ad.tensor(theta0)
     (g_sample,) = ad.grad(sample_fn(sample_leaf), [sample_leaf])
     value = -float(g_sample.data @ solve.x)
@@ -464,22 +465,23 @@ def _embedding_graph(model: md.ModelParams, X: np.ndarray) -> ad.Tensor | None:
 
 def fmd_unlearn(
     model: md.ModelParams,
-    counterfactual: list[bg.Sample],
+    counterfactual: np.recarray,
     cfg: StrategyConfig,
     bundle: bg.DataBundle | None = None,
-    pairs: list[tuple[bg.Sample, bg.Sample]] | None = None,
+    paired: bool = False,
 ) -> UnlearnResult:
     """One damped Newton step on the counterfactual mean gradient, then an
     optional fine-tune on the counterfactual set.
 
     The Hessian scope defaults to the head parameters; non-head weights are
-    untouched by the Newton step in that mode. Without pairs, the fine-tune
-    is cross-entropy on the head only. With pairs of (original, altered)
-    samples, it becomes a joint objective over all parameters: cross-entropy
-    plus the mean squared distance between the two embeddings, pulling the
-    representation toward ignoring the altered block.
+    untouched by the Newton step in that mode. Unpaired, the fine-tune is
+    cross-entropy on the head only. Paired (row i of the counterfactual set
+    alters the bias block of the bundle's forget row i), it is a joint
+    objective over all parameters: cross-entropy plus the mean squared
+    distance between the two rows' embeddings, pulling the representation
+    toward ignoring the altered block.
     """
-    if not counterfactual:
+    if not len(counterfactual):
         raise ValueError("fmd_unlearn: empty counterfactual set")
     work = md.copy_model(model)
     Xc, yc, _, _ = bg.stack(counterfactual)
@@ -500,10 +502,9 @@ def fmd_unlearn(
     }]
 
     if cfg.finetune_steps:
-        if pairs:
+        if paired:
             params = md.trainable_params(work)
-            Xa = np.stack([p[0].x for p in pairs])
-            Xb = np.stack([p[1].x for p in pairs])
+            Xf = bg.stack(bg.forget_samples(bundle))[0]
         else:
             W, b = work.layers[-1]
             params = [W, b]
@@ -511,13 +512,13 @@ def fmd_unlearn(
         for k in range(cfg.finetune_steps):
             objective = md.loss(work, Xc, yc)
             cost += n_c
-            if pairs:
-                ea = _embedding_graph(work, Xa)
-                eb = _embedding_graph(work, Xb)
+            if paired:
+                ea = _embedding_graph(work, Xf)
+                eb = _embedding_graph(work, Xc)
                 if ea is not None:
-                    gap = ad.scale(ad.sq_norm(ad.sub(ea, eb)), 1.0 / len(pairs))
+                    gap = ad.scale(ad.sq_norm(ad.sub(ea, eb)), 1.0 / n_c)
                     objective = ad.add(objective, gap)
-                    cost += 2 * len(pairs)
+                    cost += 2 * n_c
             grads = ad.grad(objective, params)
             opt.step([g.data for g in grads])
             log.append({"step": k + 1, "finetune_loss": float(objective.data)})
@@ -539,20 +540,21 @@ def fmd_unlearn(
 @dataclass(frozen=True)
 class Strategy:
     """A post-hoc strategy: its table label, the StrategyConfig fields it
-    reads (its config section's keys), whether it needs a counterfactual set,
-    and run(model, teacher, bundle, cfg, counterfactual), which looks the
-    strategy function up on this module at each call."""
+    reads (its config section's keys), whether it needs a counterfactual set
+    or the gold model as teacher (else it gets None), and run(model, teacher,
+    bundle, cfg, counterfactual), which looks the strategy function up on
+    this module at each call."""
 
     label: str
     reads: tuple[str, ...]
     run: Callable[..., UnlearnResult]
     needs_counterfactual: bool = False
+    needs_teacher: bool = False
 
 
 def _run_fmd(model, teacher, bundle, cfg, d_c):
-    paired = bg.SCENARIOS[bundle.kind].paired_counterfactual
-    pairs = list(zip(bg.forget_samples(bundle), d_c)) if paired else None
-    return fmd_unlearn(model, d_c, cfg, bundle=bundle, pairs=pairs)
+    return fmd_unlearn(model, d_c, cfg, bundle=bundle,
+                       paired=bg.SCENARIOS[bundle.kind].paired_counterfactual)
 
 
 POST_HOC_STRATEGIES = {
@@ -564,7 +566,8 @@ POST_HOC_STRATEGIES = {
         lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg)),
     "scrub": Strategy(
         "SCRUB", ("eta", "steps"),
-        lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg)),
+        lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg),
+        needs_teacher=True),
     "fmd": Strategy(
         "FMD", ("eta", "damping", "finetune_steps", "hessian_scope"), _run_fmd,
         needs_counterfactual=True),

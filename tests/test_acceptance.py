@@ -127,8 +127,7 @@ def _logistic_samples(rng, n, d, w_true):
     X = rng.normal(size=(n, d))
     p = 1.0 / (1.0 + np.exp(-(X @ w_true)))
     y = (rng.random(n) < p).astype(int)
-    return [bg.Sample(s=X[i], b=np.zeros(0), label=int(y[i]), group=0,
-                      bias_flag=False) for i in range(n)]
+    return bg.rows(X, np.zeros((n, 0)), y, 0, False)
 
 
 def _solve_logistic(model, samples):
@@ -165,7 +164,7 @@ def test_influence_tracks_leave_one_out_retraining():
                               tol=1e-12)
         assert result.converged
         values.append(result.value)
-        theta_loo = _solve_logistic(model, train[:i] + train[i + 1:])
+        theta_loo = _solve_logistic(model, train[np.arange(n) != i])
         effects.append(b_full - bias_fn(ad.tensor(theta_loo)).item())
 
     rho = spearmanr(values, effects).statistic

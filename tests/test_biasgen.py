@@ -4,11 +4,21 @@ properties by actually training small models on the generated bundles."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from unlearnlab import biasgen as bg
+from unlearnlab import harness as hn
 from unlearnlab import model as md
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +211,17 @@ def test_pose_scale_is_last_b_feature():
 
 def test_mask_patch_preserves_s_bit_exactly_and_drops_marker():
     bundle = bg.gen_patch_bias(100, 4, 0, 0.5, 3.0, seed=19)
-    bg.build_counterfactual(bundle, seed=20)
+    d_c = bg.build_counterfactual(bundle, seed=20)
     forget = bg.forget_samples(bundle)
-    assert len(bundle.counterfactual) == len(forget)
-    for cf, orig in zip(bundle.counterfactual, forget):
+    assert len(d_c) == len(forget)
+    for cf, orig in zip(d_c, forget):
         assert cf.s.tobytes() == orig.s.tobytes()
         assert cf.label == orig.label
         assert not np.any(cf.b == 3.0)
 
 def test_rebalance_bins_uniform_marginals_with_original_pairs():
     bundle = bg.gen_pose_bias(900, 3, 0.7, seed=21)
-    bg.build_counterfactual(bundle, seed=22)
-    d_c = bundle.counterfactual
+    d_c = bg.build_counterfactual(bundle, seed=22)
     per_bin = len(bundle.train) // 3
     for bin_id in range(3):
         count = sum(1 for s in d_c if s.group == bin_id)
@@ -226,7 +235,7 @@ def test_counterfactual_mode_compatibility():
     attribute = bg.gen_attribute_bias(500, 3.0, seed=23)
     with pytest.raises(ValueError, match="no counterfactual recipe"):
         bg.build_counterfactual(attribute, seed=0)
-    assert attribute.counterfactual is None
+    assert not hasattr(attribute, "counterfactual")
     patch = bg.gen_patch_bias(50, 3, 0, 0.5, 3.0, seed=24)
     assert len(bg.build_counterfactual(patch, seed=0)) == len(patch.forget_idx)
 
@@ -255,7 +264,7 @@ def test_bundle_cells_are_float_reprs(tmp_path):
     p = tmp_path / "bundle.csv"
     bg.save_bundle(bundle, p)
     rows = p.read_text().splitlines()[1:]
-    samples = bundle.train + bundle.val + bundle.test
+    samples = [smp for split in (bundle.train, bundle.val, bundle.test) for smp in split]
     assert len(rows) == len(samples)
     for row, smp in zip(rows, samples):
         cells = row.split(",")[: bundle.d_s + bundle.d_b]
@@ -273,15 +282,20 @@ def test_bundle_cells_are_float_reprs(tmp_path):
 )
 def test_stack_is_bitwise_the_per_row_stack(samples):
     X, y, g, f = bg.stack(samples)
-    expected = np.stack([smp.x for smp in samples])
+    expected = np.stack([np.concatenate([smp.s, smp.b]) for smp in samples])
     assert X.dtype == expected.dtype and X.shape == expected.shape
     assert X.tobytes() == expected.tobytes()
     assert y.tolist() == [smp.label for smp in samples]
     assert g.tolist() == [smp.group for smp in samples]
     assert f.tolist() == [smp.bias_flag for smp in samples]
 
+def test_stack_of_one_record_is_its_one_row_slice():
+    train = bg.gen_attribute_bias(200, 3.0, seed=30).train
+    for got, want in zip(bg.stack(train[5]), bg.stack(train[5:6])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 def test_stack_of_no_samples_is_empty():
-    X, y, g, f = bg.stack([])
+    X, y, g, f = bg.stack(bg.rows(np.zeros((0, 0)), np.zeros((0, 0)), [], [], []))
     assert (X.shape, y.shape, g.shape, f.shape) == ((0, 0), (0,), (0,), (0,))
     assert (X.dtype, f.dtype) == (np.float64, np.bool_)
 
@@ -318,6 +332,101 @@ def test_bundle_forget_flag_outside_train_rejected(tmp_path, split):
     p.write_text("\n".join(lines))
     with pytest.raises(ValueError, match=f"bundle {p}: forget=1 on a {split} row"):
         bg.load_bundle(p)
+
+
+def _first_row(edit):
+    """A bundle.csv edit that rewrites the first data row's cells."""
+    def apply(text):
+        header, row, rest = text.split("\n", 2)
+        return "\n".join([header, ",".join(edit(row.split(","))), rest])
+    return apply
+
+def _sidecar(edit):
+    """A sidecar edit on the parsed JSON object."""
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+@pytest.mark.parametrize(
+    "suffix, edit",
+    [
+        ("", _first_row(lambda cells: cells[3:])),
+        ("", _first_row(lambda cells: cells + ["0"])),
+        ("", _first_row(lambda cells: ["abc"] + cells[1:])),
+        ("", _first_row(lambda cells: ["nan"] + cells[1:])),
+        ("", _first_row(lambda cells: cells[:-1] + ["7"])),
+        ("", _first_row(lambda cells: cells[:-3] + ["2"] + cells[-2:])),
+        ("", _first_row(lambda cells: cells[:-5] + ["3"] + cells[-4:])),
+        (".meta.json", _sidecar(lambda meta: {k: v for k, v in meta.items() if k != "seed"})),
+        (".meta.json", _sidecar(lambda meta: {**meta, "d_s": str(meta["d_s"])})),
+        (".meta.json", lambda text: text[: len(text) // 2]),
+        (".meta.json", lambda text: "[]"),
+    ],
+    ids=["short-row", "long-row", "text-cell", "nan-cell", "forget-7", "bias-flag-2",
+         "label-out-of-range", "sidecar-missing-key", "sidecar-wrong-type",
+         "sidecar-invalid-json", "sidecar-not-object"],
+)
+def test_bundle_malformed_input_rejected_naming_the_file(tmp_path, suffix, edit):
+    p = tmp_path / "bundle.csv"
+    bg.save_bundle(bg.gen_pose_bias(100, 3, 0.5, seed=27), p)
+    target = Path(str(p) + suffix)
+    target.write_text(edit(target.read_text()))
+    with pytest.raises(ValueError, match=re.escape(str(target))):
+        bg.load_bundle(p)
+
+@given(st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bundle_truncated_anywhere_loads_whole_rows_or_is_rejected(tmp_path, data):
+    """A cut file either loads as the rows it still holds whole (re-saving
+    them gives the cut bytes back) or raises ValueError naming the file,
+    never another exception."""
+    p = tmp_path / "cut.csv"
+    bg.save_bundle(bg.gen_pose_bias(40, 3, 0.5, seed=40), p)
+    suffix = data.draw(st.sampled_from(["", ".meta.json"]))
+    target = Path(str(p) + suffix)
+    raw, full = target.read_bytes(), p.read_bytes()
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    target.write_bytes(raw[:cut])
+    try:
+        loaded = bg.load_bundle(p)
+    except ValueError as e:
+        assert str(target) in str(e)
+        return
+    again = tmp_path / "again.csv"
+    bg.save_bundle(loaded, again)
+    kept = again.read_bytes()
+    assert full.startswith(kept)
+    assert len(kept) in ((cut, cut + 1) if not suffix else (len(full),))
+
+# sha256 of each shipped config's seed-1 bundle.csv and sidecar, and of the
+# stacked (X, y, groups, flags) bytes of its D_c, as the per-sample
+# generators wrote them.
+BUNDLE_DIGESTS = {
+    "patch": ("fd7908c2902d5269281f1d36008a3c4fbff5326e1441ca11787a4236066662a3",
+              "a02a59a6012ce044fde0ee7cfb12f61c6fb09fbfb237c0d6d05c2d461494a6dd"),
+    "attribute": ("45c4a275d0eaaedd0bc61d32d60e8d769fc75fd86845f7d02be04041e6c8d25c",
+                  "dd8959c62ca6d523437419fb8b06e8f87ee3643995a3e27bcf8d0860c09b55e4"),
+    "pose": ("7c25c8b30b3a49833cca9dbc24c76586ab98d5bc10d3fd5b7162de6275600966",
+             "11054300f3d03d8aa2183799aa198f66148726717ac61b14f6f910c6a30d64d2"),
+}
+COUNTERFACTUAL_DIGESTS = {
+    "patch": "bda2cfbecc4c059cbb6b0714a486e6f6990151098fc183f08f0dbbe27963c043",
+    "pose": "64ffad332eb52ddba8a71da0a7af078c1f5977a716fc1459b4233586da8c2d32",
+}
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_DIGESTS))
+def test_shipped_bundle_bytes_are_pinned(tmp_path, name):
+    bundle = hn.build_bundle(hn.load_config(CONFIG_DIR / f"{name}.cfg"), 1)
+    p = tmp_path / "bundle.csv"
+    bg.save_bundle(bundle, p)
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in (p, Path(str(p) + ".meta.json")))
+    assert digests == BUNDLE_DIGESTS[name]
+    if name in COUNTERFACTUAL_DIGESTS:
+        d_c = bg.build_counterfactual(bundle, seed=1 + hn.SEED_COUNTERFACTUAL)
+        h = hashlib.sha256()
+        for column in bg.stack(d_c):
+            h.update(column.tobytes())
+        assert h.hexdigest() == COUNTERFACTUAL_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,13 @@ def constant_model(d, k, winner, seed=0):
 
 
 def make_samples(X, y, d_s):
-    return [bg.Sample(x[:d_s], x[d_s:], int(yy), 0, False) for x, yy in zip(X, y)]
+    return bg.rows(X[:, :d_s], X[:, d_s:], y, 0, False)
+
+
+def from_tuples(samples):
+    """A record array from per-sample (s, b, label) tuples, in order."""
+    s, b, labels = zip(*samples)
+    return bg.rows(np.array(s), np.array(b), labels, 0, False)
 
 
 def test_accuracy_majority_class():
@@ -293,10 +299,10 @@ def test_mia_null_when_distributions_match():
     # Same model, member and nonmember batches from one Gaussian soup.
     rng = np.random.default_rng(9)
     m = md.init_model([6, 8, 3], "softmax", 0)
-    mk = lambda: [
-        bg.Sample(rng.normal(size=4), rng.normal(size=2), int(rng.integers(0, 3)), 0, False)
+    mk = lambda: from_tuples([
+        (rng.normal(size=4), rng.normal(size=2), int(rng.integers(0, 3)))
         for _ in range(500)
-    ]
+    ])
     assert abs(fe.mia_auc(m, mk(), mk()) - 0.5) < 0.05
 
 
@@ -304,18 +310,18 @@ def test_mia_perfect_separation():
     rng = np.random.default_rng(10)
     m = constant_model(4, 2, winner=1)
     m.layers[0][1].data[1] = 8.0
-    members = [bg.Sample(rng.normal(size=2), rng.normal(size=2), 1, 0, False) for _ in range(30)]
-    nonmembers = [bg.Sample(rng.normal(size=2), rng.normal(size=2), 0, 0, False) for _ in range(30)]
+    members = from_tuples([(rng.normal(size=2), rng.normal(size=2), 1) for _ in range(30)])
+    nonmembers = from_tuples([(rng.normal(size=2), rng.normal(size=2), 0) for _ in range(30)])
     assert fe.mia_auc(m, members, nonmembers) == 1.0
 
 
 def test_mia_rejects_empty():
     m = md.init_model([4, 2], "softmax", 0)
-    s = [bg.Sample(np.zeros(2), np.zeros(2), 0, 0, False)]
+    s = bg.rows(np.zeros((1, 2)), np.zeros((1, 2)), 0, 0, False)
     with pytest.raises(ValueError):
-        fe.mia_auc(m, [], s)
+        fe.mia_auc(m, s[:0], s)
     with pytest.raises(ValueError):
-        fe.mia_auc(m, s, [])
+        fe.mia_auc(m, s, s[:0])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +332,7 @@ def test_bias_ratio_zero_when_b_columns_zero():
     m = md.init_model([6, 8, 3], "softmax", 2)
     m.layers[0][0].data[:, 4:] = 0.0
     rng = np.random.default_rng(3)
-    samples = [bg.Sample(rng.normal(size=4), rng.normal(size=2), 0, 0, False) for _ in range(10)]
+    samples = from_tuples([(rng.normal(size=4), rng.normal(size=2), 0) for _ in range(10)])
     assert fe.bias_gradient_ratio(m, samples, d_s=4) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -334,7 +340,7 @@ def test_bias_ratio_near_one_for_mirrored_blocks():
     m = md.init_model([8, 8, 3], "softmax", 4)
     m.layers[0][0].data[:, 4:] = m.layers[0][0].data[:, :4]
     rng = np.random.default_rng(4)
-    samples = [bg.Sample(rng.normal(size=4), rng.normal(size=4), 0, 0, False) for _ in range(10)]
+    samples = from_tuples([(rng.normal(size=4), rng.normal(size=4), 0) for _ in range(10)])
     assert abs(fe.bias_gradient_ratio(m, samples, d_s=4) - 1.0) < 0.1
 
 
@@ -342,8 +348,8 @@ def test_bias_ratio_matches_per_sample_loop():
     # Batched winning-logit gradients must equal one-at-a-time gradients.
     m = md.init_model([6, 10, 4], "softmax", 5)
     rng = np.random.default_rng(6)
-    samples = [bg.Sample(rng.normal(size=4), rng.normal(size=2), 0, 0, False) for _ in range(8)]
-    singles = [fe.bias_gradient_ratio(m, [s], d_s=4) for s in samples]
+    samples = from_tuples([(rng.normal(size=4), rng.normal(size=2), 0) for _ in range(8)])
+    singles = [fe.bias_gradient_ratio(m, samples[i : i + 1], d_s=4) for i in range(len(samples))]
     assert fe.bias_gradient_ratio(m, samples, d_s=4) == pytest.approx(
         float(np.mean(singles)), abs=1e-12
     )
@@ -352,14 +358,14 @@ def test_bias_ratio_matches_per_sample_loop():
 def test_saliency_zero_model_all_zero():
     m = constant_model(5, 3, winner=0)
     m.layers[0][1].data[:] = 0.0
-    s = bg.Sample(np.ones(3), np.ones(2), 0, 0, False)
+    s = bg.rows(np.ones((1, 3)), np.ones((1, 2)), 0, 0, False)[0]
     np.testing.assert_array_equal(fe.saliency(m, s), np.zeros(5))
 
 
 def test_saliency_linear_model_matches_winning_row():
     m = md.init_model([5, 3], "softmax", 7)
     x = np.array([0.3, -1.2, 0.8, 0.1, -0.4])
-    s = bg.Sample(x[:3], x[3:], 0, 0, False)
+    s = bg.rows(x[None, :3], x[None, 3:], 0, 0, False)[0]
     winner = int(md.predict(m, x[None, :])[0])
     row = np.abs(m.layers[0][0].data[winner])
     np.testing.assert_allclose(fe.saliency(m, s), row / row.max(), atol=1e-12)
@@ -367,7 +373,7 @@ def test_saliency_linear_model_matches_winning_row():
 
 def test_saliency_unit_max():
     m = md.init_model([6, 8, 3], "softmax", 8)
-    s = bg.Sample(np.arange(4.0), np.ones(2), 0, 0, False)
+    s = bg.rows(np.arange(4.0)[None], np.ones((1, 2)), 0, 0, False)[0]
     sal = fe.saliency(m, s)
     assert sal.shape == (6,)
     assert sal.max() == pytest.approx(1.0)

@@ -214,15 +214,11 @@ def gen_toy_bias(n: int, seed: int, shift: float = 2.0) -> bg.DataBundle:
     rng = np.random.default_rng(seed)
     splits = {}
     for name, size in zip(bg.SPLITS, bg.split_sizes(n)):
-        splits[name] = []
-        for i in range(size):
-            label, group = i % 2, (i // 2) % 2
-            splits[name].append(bg.Sample(rng.normal(size=2) + shift * label,
-                                          np.array([float(group)]), label, group,
-                                          label == group == 1))
-    forget = [i for i, smp in enumerate(splits["train"]) if smp.bias_flag]
+        label, group = np.arange(size) % 2, (np.arange(size) // 2) % 2
+        splits[name] = bg.rows(rng.normal(size=(size, 2)) + shift * label[:, None],
+                               group[:, None], label, group, (label == 1) & (group == 1))
     return bg.DataBundle("toy", 2, 1, 2, splits["train"], splits["val"], splits["test"],
-                         np.array(forget, dtype=np.int64), seed)
+                         np.flatnonzero(splits["train"].bias_flag), seed)
 
 
 def test_new_scenario_is_a_generator_and_one_record(tmp_path, monkeypatch):
@@ -756,4 +752,24 @@ def test_stage_subcommands_reproduce_run_artifacts(tmp_path, capsys):
         report = json.loads((tmp_path / f"e-{name}" / "report.json").read_text())
         assert {k: report[k] for k in REPORT_METRICS} == {
             k: run_reports[name][k] for k in REPORT_METRICS}, name
+    capsys.readouterr()
+
+
+def test_unlearn_trains_the_gold_only_for_a_strategy_with_a_teacher(tmp_path, monkeypatch,
+                                                                    capsys):
+    config = str(write_config(tmp_path, TINY_RUNS["patch"], "tiny.cfg"))
+    common = ["--config", config, "--seed", "7"]
+    assert cli.main(["train", *common, "--out", str(tmp_path / "t")]) == 0
+    calls = []
+    train_gold = hn.train_gold
+    monkeypatch.setattr(hn, "train_gold",
+                        lambda *args: calls.append(args) or train_gold(*args))
+    counts = {}
+    for name in ul.POST_HOC_STRATEGIES:
+        calls.clear()
+        assert cli.main(["unlearn", *common, "--strategy", name, "--baseline",
+                         str(tmp_path / "t" / "baseline.ckpt"),
+                         "--out", str(tmp_path / f"u-{name}")]) == 0
+        counts[name] = len(calls)
+    assert counts == {"gradient_ascent": 0, "lora": 0, "scrub": 1, "fmd": 0}
     capsys.readouterr()

@@ -34,19 +34,24 @@ def make_blob_bundle(n_retain=40, n_forget=20, seed=0, d_s=4, d_b=2):
     rng = np.random.default_rng(seed)
 
     def draw(n):
-        out = []
-        for i in range(n):
-            y = i % 2
-            s = (2 * y - 1) * 1.5 * np.ones(d_s) / np.sqrt(d_s) + rng.normal(size=d_s)
-            out.append(bg.Sample(s, rng.normal(size=d_b), y, y, False))
-        return out
+        s, b, labels = np.empty((n, d_s)), np.empty((n, d_b)), np.arange(n) % 2
+        for i, y in enumerate(labels):
+            s[i] = (2 * y - 1) * 1.5 * np.ones(d_s) / np.sqrt(d_s) + rng.normal(size=d_s)
+            b[i] = rng.normal(size=d_b)
+        return bg.rows(s, b, labels, labels, False)
 
-    train = draw(n_retain) + draw(n_forget)
+    train = np.concatenate([draw(n_retain), draw(n_forget)]).view(np.recarray)
     return bg.DataBundle(
         kind="attribute", d_s=d_s, d_b=d_b, n_classes=2,
         train=train, val=draw(6), test=draw(20),
         forget_idx=np.arange(n_retain, n_retain + n_forget), seed=seed,
     )
+
+
+def from_tuples(samples):
+    """A record array from per-sample (s, b, label) tuples, in order."""
+    s, b, labels = zip(*samples)
+    return bg.rows(np.array(s), np.array(b), labels, 0, False)
 
 
 @pytest.fixture(scope="module")
@@ -330,8 +335,8 @@ def test_influence_zero_gradient_sample():
     m.layers[0][0].data[:] = [[40.0, 0.0]]
     m.layers[0][1].data[:] = 0.0
     rng = np.random.default_rng(0)
-    train = [bg.Sample(rng.normal(size=1), rng.normal(size=1), int(rng.integers(2)), 0, False) for _ in range(20)]
-    fitted = bg.Sample(np.array([1.0]), np.array([0.0]), 1, 0, False)  # logit 40, label 1
+    train = from_tuples([(rng.normal(size=1), rng.normal(size=1), int(rng.integers(2))) for _ in range(20)])
+    fitted = bg.rows([[1.0]], [[0.0]], 1, 0, False)[0]  # logit 40, label 1
     probe = train[:5]
     result = ul.influence(m, fitted, probe_measure(m, probe), train, damping=1e-1)
     assert abs(result.value) < 1e-12
@@ -339,8 +344,8 @@ def test_influence_zero_gradient_sample():
 
 def test_influence_linear_in_bias_measure():
     rng = np.random.default_rng(1)
-    train = [bg.Sample(rng.normal(size=3), rng.normal(size=1), int(rng.integers(2)), 0, False) for _ in range(30)]
-    probe = [bg.Sample(rng.normal(size=3), rng.normal(size=1), int(rng.integers(2)), 0, False) for _ in range(10)]
+    train = from_tuples([(rng.normal(size=3), rng.normal(size=1), int(rng.integers(2))) for _ in range(30)])
+    probe = from_tuples([(rng.normal(size=3), rng.normal(size=1), int(rng.integers(2))) for _ in range(10)])
     m = md.init_model([4, 2], "softmax", 2)
     X, y, _, _ = bg.stack(train)
     md.train(m, (X, y), md.TrainConfig(epochs=20, batch_size=16, learning_rate=5e-3, seed=2))
@@ -354,7 +359,7 @@ def test_influence_linear_in_bias_measure():
 
 def test_influence_reports_nonconvergence():
     rng = np.random.default_rng(3)
-    train = [bg.Sample(rng.normal(size=3), rng.normal(size=1), int(rng.integers(2)), 0, False) for _ in range(20)]
+    train = from_tuples([(rng.normal(size=3), rng.normal(size=1), int(rng.integers(2))) for _ in range(20)])
     m = md.init_model([4, 2], "softmax", 3)
     result = ul.influence(m, train[0], probe_measure(m, train[:4]), train, damping=1e-3, max_iter=1)
     assert not result.converged
@@ -514,17 +519,16 @@ def test_fmd_contrastive_pairs_shrink_embedding_gap(patch_setup):
     bundle, baseline = patch_setup
     forget = bg.forget_samples(bundle)
     d_c = bg.build_counterfactual(bundle, seed=24)
-    pairs = list(zip(forget, d_c))
 
     def gap(m):
-        Xa = np.stack([p[0].x for p in pairs])
-        Xb = np.stack([p[1].x for p in pairs])
+        Xa = np.stack([np.concatenate([smp.s, smp.b]) for smp in forget])
+        Xb = np.stack([np.concatenate([smp.s, smp.b]) for smp in d_c])
         ea = md.body_features(m, Xa)
         eb = md.body_features(m, Xb)
         return float(np.mean(np.sum((ea - eb) ** 2, axis=1)))
 
     cfg = ul.StrategyConfig(damping=1e-2, eta=3e-3, finetune_steps=8, seed=0)
-    result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle, pairs=pairs)
+    result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle, paired=True)
     assert gap(result.model) < gap(baseline)
     assert len(result.step_log) == 1 + 8
 
