@@ -38,7 +38,7 @@ class EvalReport:
 
 def accuracy(model: md.ModelParams, samples: np.recarray) -> float:
     if not len(samples):
-        raise ValueError("accuracy: empty sample list")
+        raise ValueError("accuracy: empty sample set")
     X, y, _, _ = bg.stack(samples)
     return float((md.predict(model, X) == y).mean())
 
@@ -161,7 +161,7 @@ def _winning_logit_input_grads(model: md.ModelParams, X: np.ndarray) -> np.ndarr
 def bias_gradient_ratio(model: md.ModelParams, samples: np.recarray, d_s: int) -> float:
     """Mean over samples of ||d f / d b|| / (||d f / d s|| + 1e-12), f = winning logit."""
     if not len(samples):
-        raise ValueError("bias_gradient_ratio: empty sample list")
+        raise ValueError("bias_gradient_ratio: empty sample set")
     X = bg.stack(samples)[0]
     grads = _winning_logit_input_grads(model, X)
     s_norm = np.linalg.norm(grads[:, :d_s], axis=1)
