@@ -37,6 +37,15 @@ arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
 logits against a constant target distribution). Their taped vjps build the
 chain's backward from primitives, so second derivatives are unchanged too.
 
+Row reductions over narrow logit matrices (the max and sums of
+``log_softmax`` and its vjps, ``rowsum``, ``colbcast``'s vjp) go through
+``_row_reduce``. numpy reduces a C-contiguous (n, k) array along axis 1 one
+row at a time, one inner-loop call per row; for k < 8 it adds each row's
+entries left to right from 0.0, and a max does not round. So from 256 rows
+on, a sweep that adds (or takes the maximum of) the k columns into one
+length-n vector in that order is bit-identical and several times faster.
+Wider, shorter or non-contiguous arrays keep numpy's own reduction.
+
 Scalars are 0-d arrays. Shapes are strict; there is no general broadcasting,
 only the explicit row/column broadcast primitives the models need. Any
 non-finite value produced by a forward operation is a hard error. A first-order
@@ -302,13 +311,34 @@ def exp(a) -> Tensor:
     return out
 
 
+# See the module docstring. numpy's pairwise summation starts at 8 entries,
+# and under 256 rows its per-row calls cost less than a sweep's per-column ones.
+_SWEEP_MAX_COLS = 8
+_SWEEP_MIN_ROWS = 256
+
+
+def _row_reduce(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=1)`` of a 2-d array, bit for bit, for
+    ``np.add`` or ``np.maximum``."""
+    n, k = x.shape
+    if not (0 < k < _SWEEP_MAX_COLS and n >= _SWEEP_MIN_ROWS and x.flags.c_contiguous):
+        return ufunc.reduce(x, axis=1)
+    if ufunc is np.add:
+        out, start = np.zeros(n), 0
+    else:
+        out, start = x[:, 0].copy(), 1
+    for j in range(start, k):
+        ufunc(out, x[:, j], out=out)
+    return out
+
+
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x - _row_reduce(np.maximum, x)[:, None]
+    return shifted - np.log(_row_reduce(np.add, np.exp(shifted))[:, None])
 
 
 def _log_softmax_vjp(logp: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return g - np.exp(logp) * g.sum(axis=1, keepdims=True)
+    return g - np.exp(logp) * _row_reduce(np.add, g)[:, None]
 
 
 def log_softmax(a) -> Tensor:
@@ -384,7 +414,7 @@ def rowsum(a) -> Tensor:
     _require_ndim(a, 2, "rowsum")
     k = a.shape[1]
     return Tensor(
-        a.data.sum(axis=1), (a,), "rowsum",
+        _row_reduce(np.add, a.data), (a,), "rowsum",
         lambda g, need: (colbcast(g, k),),
         lambda g, need: (np.repeat(g[:, None], k, axis=1),),
     )
@@ -420,7 +450,7 @@ def colbcast(v, k: int) -> Tensor:
     return Tensor(
         np.repeat(v.data[:, None], k, axis=1), (v,), "colbcast",
         lambda g, need: (rowsum(g),),
-        lambda g, need: (g.sum(axis=1),),
+        lambda g, need: (_row_reduce(np.add, g),),
     )
 
 

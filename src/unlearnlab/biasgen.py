@@ -11,6 +11,8 @@ the label, and bias features b that carry the shortcut. Three constructions:
   attractive proxy for the label.
 - pose: a continuous scale scalar appended to b; samples are binned by train
   terciles of scale and the class distribution inside the top bin is skewed.
+  Its row loop makes only the per-row draws (skew coin, label, normals),
+  whose interleaving fixes the bytes; the rest is array work per split.
 
 Each kind is one Scenario record in SCENARIOS, so adding a kind takes a
 gen_* function and one record.
@@ -92,6 +94,12 @@ def split_sizes(n: int) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
+def _require_finite(**params: float) -> None:
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{key}={value} must be finite")
+
+
 def _class_means(k: int, d: int, sep: float) -> np.ndarray:
     # Orthogonal axes: every pair of class means sits sep * sqrt(2) apart,
     # independent of the seed, so cluster geometry never gets unlucky.
@@ -133,10 +141,10 @@ def gen_patch_bias(
         raise ValueError("need at least 2 classes")
     if not 0 <= target_class < n_classes:
         raise ValueError(f"target_class {target_class} outside [0, {n_classes})")
+    _require_finite(patch_fraction=patch_fraction, marker_value=marker_value,
+                    class_sep=class_sep, confuser_scale=confuser_scale)
     if not 0.0 <= patch_fraction <= 1.0:
         raise ValueError(f"patch_fraction={patch_fraction} outside [0, 1]")
-    if not np.isfinite(marker_value):
-        raise ValueError("marker_value must be finite")
     if n_per_class < 10:
         raise ValueError("need n_per_class >= 10 to populate all splits")
     if confuser_class is None:
@@ -218,6 +226,7 @@ def gen_attribute_bias(
     carries the group the same way. D_f is the overrepresented
     (group 0, positive) train cell. corr_ratio=1 removes the correlation.
     """
+    _require_finite(corr_ratio=corr_ratio, label_sep=label_sep, group_sep=group_sep)
     if corr_ratio < 1.0:
         raise ValueError("corr_ratio must be >= 1 (ratio of group 0 to group 1 positives)")
 
@@ -287,11 +296,23 @@ def gen_pose_bias(
     Inside bin 2, a sample's class is drawn from a favored subset with
     probability skew, else uniformly. skew=0 recovers a uniform table.
     The standardized scale is appended as the last b feature; group := bin.
+
+    One generator stream feeds everything: first the lognormal scales of all
+    three splits, then, row by row, a top-bin row's skew coin, the label, and
+    d_s + d_b - 1 standard normals (s noise, then b noise). Whether a row
+    draws a coin depends on its bin, so the draws interleave and the row
+    loop keeps them in that order; any other order gives other bytes. Bins,
+    means, the scale column and the record arrays are built per split.
     """
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
+    _require_finite(skew=skew, class_sep=class_sep, scale_sigma=scale_sigma)
     if not 0.0 <= skew <= 1.0:
         raise ValueError(f"skew={skew} outside [0, 1]")
+    if scale_sigma <= 0.0:
+        raise ValueError(f"scale_sigma={scale_sigma} must be > 0 to spread the scale bins")
+    if d_b < 1:
+        raise ValueError(f"d_b={d_b} must be >= 1 to hold the scale feature")
     if n < 30:
         raise ValueError("need n >= 30 for three populated bins per split")
 
@@ -306,20 +327,19 @@ def gen_pose_bias(
 
     splits = {}
     for split_name in SPLITS:
-        n_split = len(scales[split_name])
-        S, B = np.empty((n_split, d_s)), np.empty((n_split, d_b))
-        labels, bins = np.empty(n_split, np.int64), np.empty(n_split, np.int64)
-        for i, raw_scale in enumerate(scales[split_name]):
-            bin_id = int(np.searchsorted(cuts, raw_scale, side="right"))
-            if bin_id == 2 and rng.uniform() < skew:
-                label = int(rng.choice(favored))
+        raw = scales[split_name]
+        bins = np.searchsorted(cuts, raw, side="right")
+        labels = np.empty(len(raw), np.int64)
+        Z = np.empty((len(raw), d_s + d_b - 1))
+        for i, bin_id in enumerate(bins.tolist()):
+            if bin_id == 2 and rng.random() < skew:
+                labels[i] = favored[rng.integers(0, len(favored))]
             else:
-                label = int(rng.integers(0, n_classes))
-            S[i] = means[label] + rng.normal(size=d_s)
-            B[i, :-1] = rng.normal(size=d_b - 1)
-            B[i, -1] = (raw_scale - mu) / sd
-            labels[i], bins[i] = label, bin_id
-        splits[split_name] = rows(S, B, labels, bins, bins == 2)
+                labels[i] = rng.integers(0, n_classes)
+            rng.standard_normal(out=Z[i])
+        B = np.empty((len(raw), d_b))
+        B[:, :-1], B[:, -1] = Z[:, d_s:], (raw - mu) / sd
+        splits[split_name] = rows(means[labels] + Z[:, :d_s], B, labels, bins, bins == 2)
 
     return DataBundle(
         kind="pose", d_s=d_s, d_b=d_b, n_classes=n_classes,

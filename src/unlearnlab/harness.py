@@ -210,8 +210,13 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def build_bundle(cfg: ExperimentConfig, master_seed: int) -> bg.DataBundle:
-    return bg.SCENARIOS[cfg.kind].generate(seed=master_seed + SEED_DATA,
-                                          **cfg.scenario_params)
+    """The config's bundle; a generator's ValueError on its [scenario]
+    values is a ConfigError."""
+    try:
+        return bg.SCENARIOS[cfg.kind].generate(seed=master_seed + SEED_DATA,
+                                              **cfg.scenario_params)
+    except ValueError as e:
+        raise ConfigError(f"config {cfg.name!r}: [scenario] ({cfg.kind}): {e}") from e
 
 
 def model_arch(cfg: ExperimentConfig, bundle: bg.DataBundle) -> list:

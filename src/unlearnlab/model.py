@@ -172,9 +172,7 @@ def per_sample_loss(model: ModelParams, X, y) -> np.ndarray:
     z = forward(model, X).data
     n = z.shape[0]
     if model.head == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return -logp[np.arange(n), y]
+        return -ad._log_softmax(z)[np.arange(n), y]
     z1 = z[:, 0]
     return np.logaddexp(0.0, z1) - y * z1
 
@@ -190,9 +188,8 @@ def predict_proba(model: ModelParams, X) -> np.ndarray:
     """Class probabilities: (n, K) for softmax, (n, 1) for sigmoid."""
     z = forward(model, X).data
     if model.head == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        e = np.exp(z - ad._row_reduce(np.maximum, z)[:, None])
+        return e / ad._row_reduce(np.add, e)[:, None]
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 

@@ -122,6 +122,60 @@ def test_log_softmax_rows_normalize():
     out = ad.log_softmax(ad.tensor(rng.normal(size=(5, 7))))
     np.testing.assert_allclose(np.exp(out.data).sum(axis=1), np.ones(5), atol=1e-12)
 
+
+def _awkward(rng, shape):
+    """Values of wide magnitude and both signs, with signed zeros mixed in."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+@pytest.mark.parametrize("n", [1, ad._SWEEP_MIN_ROWS - 1, ad._SWEEP_MIN_ROWS, 1400])
+def test_row_reduce_is_bitwise_numpy(n, k):
+    rng = np.random.default_rng(100 * n + k)
+    for _ in range(3):
+        x = _awkward(rng, (n, k))
+        np.testing.assert_array_equal(_bits(ad._row_reduce(np.add, x)), _bits(x.sum(axis=1)))
+        np.testing.assert_array_equal(_bits(ad._row_reduce(np.maximum, x)),
+                                      _bits(x.max(axis=1)))
+    zeros = np.where(rng.random((n, k)) < 0.5, 0.0, -0.0)
+    np.testing.assert_array_equal(_bits(ad._row_reduce(np.add, zeros)),
+                                  _bits(zeros.sum(axis=1)))
+    np.testing.assert_array_equal(_bits(ad._row_reduce(np.maximum, zeros)),
+                                  _bits(zeros.max(axis=1)))
+
+
+class _ReduceOnly:
+    def __init__(self, ufunc):
+        self.reduce = ufunc.reduce
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("swept the columns")
+
+
+@pytest.mark.parametrize("view", ["transposed", "column-strided", "row-strided"])
+def test_row_reduce_of_a_non_contiguous_view_is_numpy(view):
+    rng = np.random.default_rng(7)
+    n = 2 * ad._SWEEP_MIN_ROWS
+    x = {"transposed": _awkward(rng, (4, n)).T,
+         "column-strided": _awkward(rng, (n, 8))[:, ::2],
+         "row-strided": _awkward(rng, (2 * n, 4))[::2]}[view]
+    assert x.shape[1] < ad._SWEEP_MAX_COLS and not x.flags.c_contiguous
+    for ufunc in (np.add, np.maximum):
+        np.testing.assert_array_equal(_bits(ad._row_reduce(ufunc, x)),
+                                      _bits(ufunc.reduce(x, axis=1)))
+        # A sweep calls the ufunc itself; the fallback only its reduce.
+        ad._row_reduce(_ReduceOnly(ufunc), x)
+        with pytest.raises(AssertionError, match="swept"):
+            ad._row_reduce(_ReduceOnly(ufunc), np.ascontiguousarray(x))
+
+
 def test_softplus_matches_reference():
     x = np.array([-40.0, -1.0, 0.0, 3.0, 40.0])
     np.testing.assert_allclose(

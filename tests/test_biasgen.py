@@ -429,6 +429,55 @@ def test_shipped_bundle_bytes_are_pinned(tmp_path, name):
         assert h.hexdigest() == COUNTERFACTUAL_DIGESTS[name]
 
 
+# sha256 of bundle.csv and sidecar for pose bundles past seed 1, as the
+# per-row generator wrote them: the shipped config at master seeds 2 and 3,
+# and a setting with two favored classes.
+POSE_DIGESTS = {
+    "pose@2": ("7fcb162da02db50cc62e8c811103a568cb2309bb61120fcc430820c51f073f1e",
+               "4536e3ca72b3d9afcb5952eadb9d3b508069b61f7370b0d9d0dd7c6dac6934ef"),
+    "pose@3": ("0eeb171c8f6218ded263d327e4756843979446554e0a0bfe8b25afbd31c5023a",
+               "7b1faa47825698609bfc9cd54249548e9d2ed11006b37b3f2e3c9cdc88e7d3f6"),
+    "8-classes-skew-0.7": ("961eb8279d06e39979f9cea1f5f3151bf454546d20383151cb9df2bdadecfde2",
+                           "6bc8a19902499964d1f0f7ee9fc2c68968c4fdca2efe23c16d5446304b5bbbae"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSE_DIGESTS))
+def test_pose_bundle_bytes_are_pinned(tmp_path, case):
+    if case.startswith("pose@"):
+        bundle = hn.build_bundle(hn.load_config(CONFIG_DIR / "pose.cfg"), int(case[5:]))
+    else:
+        bundle = bg.gen_pose_bias(n=900, n_classes=8, skew=0.7, seed=11)
+        assert bundle.meta["favored_classes"] == [0, 1]
+    p = tmp_path / "bundle.csv"
+    bg.save_bundle(bundle, p)
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest()
+                    for f in (p, Path(str(p) + ".meta.json")))
+    assert digests == POSE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("generator,key,value", [
+    (bg.gen_patch_bias, "class_sep", float("nan")),
+    (bg.gen_patch_bias, "confuser_scale", float("inf")),
+    (bg.gen_attribute_bias, "corr_ratio", float("nan")),
+    (bg.gen_attribute_bias, "group_sep", float("-inf")),
+    (bg.gen_pose_bias, "class_sep", float("nan")),
+    (bg.gen_pose_bias, "scale_sigma", float("nan")),
+    (bg.gen_pose_bias, "scale_sigma", 0.0),
+    (bg.gen_pose_bias, "scale_sigma", -0.5),
+    (bg.gen_pose_bias, "d_b", 0),
+])
+def test_generators_reject_bad_parameters_naming_them(generator, key, value):
+    base = {
+        bg.gen_patch_bias: dict(n_per_class=20, n_classes=3, target_class=0,
+                                patch_fraction=0.5, marker_value=2.0),
+        bg.gen_attribute_bias: dict(n=200, corr_ratio=2.0),
+        bg.gen_pose_bias: dict(n=300, n_classes=4, skew=0.5),
+    }[generator]
+    with pytest.raises(ValueError, match=key):
+        generator(**{**base, key: value}, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Shortcut behavior, checked by training on the bundles.
 # ---------------------------------------------------------------------------
