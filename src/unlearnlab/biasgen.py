@@ -324,6 +324,8 @@ def gen_pose_bias(
               for name, size in zip(SPLITS, split_sizes(n))}
     cuts = np.quantile(scales["train"], [1.0 / 3.0, 2.0 / 3.0])
     mu, sd = float(scales["train"].mean()), float(scales["train"].std())
+    if not sd > 0.0:
+        raise ValueError(f"scale_sigma={scale_sigma} leaves the train scales without spread")
 
     splits = {}
     for split_name in SPLITS:
@@ -337,8 +339,7 @@ def gen_pose_bias(
             else:
                 labels[i] = rng.integers(0, n_classes)
             rng.standard_normal(out=Z[i])
-        B = np.empty((len(raw), d_b))
-        B[:, :-1], B[:, -1] = Z[:, d_s:], (raw - mu) / sd
+        B = np.column_stack([Z[:, d_s:], (raw - mu) / sd])
         splits[split_name] = rows(means[labels] + Z[:, :d_s], B, labels, bins, bins == 2)
 
     return DataBundle(

@@ -205,6 +205,53 @@ def test_pose_scale_is_last_b_feature():
     assert np.all(np.diff(groups) >= 0)
 
 
+def pose_rows_one_at_a_time(n, n_classes, skew, seed, d_s, d_b, class_sep, scale_sigma):
+    """Reference: the pose splits built row by row with the generator's
+    original calls (uniform, choice, two normal draws per row)."""
+    rng = np.random.default_rng(seed)
+    means = np.eye(n_classes, d_s) * class_sep
+    favored = list(range(max(1, n_classes // 4)))
+    scales = [rng.lognormal(mean=0.0, sigma=scale_sigma, size=size)
+              for size in bg.split_sizes(n)]
+    cuts = np.quantile(scales[0], [1.0 / 3.0, 2.0 / 3.0])
+    mu, sd = float(scales[0].mean()), float(scales[0].std())
+    out = []
+    for split in scales:
+        S, B, labels, bins = [], [], [], []
+        for raw in split:
+            bin_id = int(np.searchsorted(cuts, raw, side="right"))
+            if bin_id == 2 and rng.uniform() < skew:
+                label = int(rng.choice(favored))
+            else:
+                label = int(rng.integers(0, n_classes))
+            S.append(means[label] + rng.normal(size=d_s))
+            B.append(np.append(rng.normal(size=d_b - 1), (raw - mu) / sd))
+            labels.append(label)
+            bins.append(bin_id)
+        out.append((np.array(S), np.array(B), np.array(labels), np.array(bins)))
+    return out
+
+
+@pytest.mark.parametrize("n,n_classes,skew,d_s,d_b,class_sep,scale_sigma", [
+    (300, 4, 0.9, 12, 4, 2.0, 0.6),
+    (450, 8, 0.7, 12, 3, 3.0, 0.6),
+    (200, 3, 1.0, 5, 1, 1.5, 0.2),
+    (333, 12, 0.5, 12, 2, 3.0, 1.3),
+    (120, 2, 0.0, 2, 6, 0.5, 2.0),
+])
+def test_pose_bundle_is_bitwise_the_row_by_row_reference(
+        n, n_classes, skew, d_s, d_b, class_sep, scale_sigma):
+    params = dict(n=n, n_classes=n_classes, skew=skew, d_s=d_s, d_b=d_b,
+                  class_sep=class_sep, scale_sigma=scale_sigma)
+    bundle = bg.gen_pose_bias(seed=23, **params)
+    for split, (S, B, labels, bins) in zip(bg.SPLITS, pose_rows_one_at_a_time(seed=23, **params)):
+        got = bundle.split(split)
+        assert got.s.tobytes() == S.tobytes() and got.b.tobytes() == B.tobytes()
+        np.testing.assert_array_equal(got.label, labels)
+        np.testing.assert_array_equal(got.group, bins)
+        np.testing.assert_array_equal(got.bias_flag, bins == 2)
+
+
 # ---------------------------------------------------------------------------
 # Counterfactuals.
 # ---------------------------------------------------------------------------
@@ -465,6 +512,7 @@ def test_pose_bundle_bytes_are_pinned(tmp_path, case):
     (bg.gen_pose_bias, "scale_sigma", float("nan")),
     (bg.gen_pose_bias, "scale_sigma", 0.0),
     (bg.gen_pose_bias, "scale_sigma", -0.5),
+    (bg.gen_pose_bias, "scale_sigma", 1e-20),
     (bg.gen_pose_bias, "d_b", 0),
 ])
 def test_generators_reject_bad_parameters_naming_them(generator, key, value):

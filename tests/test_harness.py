@@ -681,15 +681,13 @@ def test_cli_internal_error_is_exit_one(tiny_config, tmp_path, capsys, monkeypat
 ])
 @pytest.mark.parametrize("stage", ["generate", "train", "run"])
 def test_cli_bad_generator_value_is_operator_error(tmp_path, capsys, stage, key, line):
-    text = (CONFIG_DIR / "pose.cfg").read_text()
-    text = text.replace("class_sep = 2.0\n", f"class_sep = 2.0\n{line}\n"
-                        if key != "class_sep" else f"{line}\n")
+    text = (CONFIG_DIR / "pose.cfg").read_text().replace("class_sep = 2.0", line)
     config = write_config(tmp_path, text, "pose-bad.cfg")
     out = tmp_path / "o"
     code = cli.main([stage, "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert key in err and "pose-bad" in err and "pose" in err
+    assert key in err and "pose-bad" in err and "(pose)" in err
     assert not (out / "bundle.csv").exists()
 
 
