@@ -55,7 +55,6 @@ infinity that reaches only the gradient of a constant input goes unreported.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -89,7 +88,7 @@ class Tensor:
     parents.
     """
 
-    __slots__ = ("data", "parents", "op", "vjp", "array_vjp", "__weakref__")
+    __slots__ = ("data", "parents", "op", "vjp", "array_vjp")
 
     def __init__(self, data, parents=(), op="leaf", vjp=None, array_vjp=None):
         arr = np.asarray(data, dtype=np.float64)
@@ -139,6 +138,10 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # primitives, so second derivatives come out of the same machinery, and whose
 # array vjp repeats that arithmetic on ndarrays. A single-parent node is only
 # differentiated when its parent is needed, so its vjps ignore ``need``.
+# A taped vjp closes over its operands only, never over its own node: sigmoid,
+# exp and log_softmax, whose derivatives reuse their output, rebuild that
+# output from the operand. A graph thus holds no reference cycle and is freed
+# as soon as it is dropped.
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
@@ -276,19 +279,16 @@ def relu(a) -> Tensor:
     )
 
 
-# sigmoid, exp and log_softmax differentiate through their own output. Their
-# vjps reach that node through a weak reference: holding the node itself would
-# make a reference cycle, and every graph would then wait for the cycle
-# collector instead of being freed as soon as it is dropped.
-
 def sigmoid(a) -> Tensor:
     """Logistic function, computed via tanh for stability at large |x|."""
     a = _as_tensor(a)
-    out = Tensor(_sigmoid(a.data), (a,), "sigmoid")
-    node, s = weakref.ref(out), out.data
-    out.vjp = lambda g, need: (mul(g, mul(node(), addc(neg(node()), 1.0))),)
-    out.array_vjp = lambda g, need: (g * (s * (s * -1.0 + 1.0)),)
-    return out
+    s = _sigmoid(a.data)
+
+    def vjp(g, need):
+        t = sigmoid(a)
+        return (mul(g, mul(t, addc(neg(t), 1.0))),)
+
+    return Tensor(s, (a,), "sigmoid", vjp, lambda g, need: (g * (s * (s * -1.0 + 1.0)),))
 
 
 def softplus(a) -> Tensor:
@@ -304,11 +304,8 @@ def softplus(a) -> Tensor:
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
-        out = Tensor(np.exp(a.data), (a,), "exp")
-    node, e = weakref.ref(out), out.data
-    out.vjp = lambda g, need: (mul(g, node()),)
-    out.array_vjp = lambda g, need: (g * e,)
-    return out
+        e = np.exp(a.data)
+    return Tensor(e, (a,), "exp", lambda g, need: (mul(g, exp(a)),), lambda g, need: (g * e,))
 
 
 # See the module docstring. numpy's pairwise summation starts at 8 entries,
@@ -341,16 +338,20 @@ def _log_softmax_vjp(logp: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - np.exp(logp) * _row_reduce(np.add, g)[:, None]
 
 
+def _log_softmax_taped_vjp(a: Tensor, g: Tensor) -> Tensor:
+    return sub(g, mul(exp(log_softmax(a)), colbcast(rowsum(g), a.shape[1])))
+
+
 def log_softmax(a) -> Tensor:
     """Row-wise log of softmax probabilities for a (n, k) logit matrix."""
     a = _as_tensor(a)
     _require_ndim(a, 2, "log_softmax")
-    out = Tensor(_log_softmax(a.data), (a,), "log_softmax")
-    k = a.shape[1]
-    node, logp = weakref.ref(out), out.data
-    out.vjp = lambda g, need: (sub(g, mul(exp(node()), colbcast(rowsum(g), k))),)
-    out.array_vjp = lambda g, need: (_log_softmax_vjp(logp, g),)
-    return out
+    logp = _log_softmax(a.data)
+    return Tensor(
+        logp, (a,), "log_softmax",
+        lambda g, need: (_log_softmax_taped_vjp(a, g),),
+        lambda g, need: (_log_softmax_vjp(logp, g),),
+    )
 
 
 def softmax_xent(z, P) -> Tensor:
@@ -371,14 +372,9 @@ def softmax_xent(z, P) -> Tensor:
         raise ShapeError("softmax_xent: empty batch")
     c, shp = -1.0 / z.shape[0], z.shape
     logp = _log_softmax(z.data)
-
-    def vjp(g, need):
-        # The chain's log_softmax node must stay alive while its vjp runs.
-        chain = log_softmax(z)
-        return chain.vjp(mul(bcast_to(scale(g, c), shp), Tensor(P)), need)
-
     return Tensor(
-        (P * logp).sum() * c, (z,), "softmax_xent", vjp,
+        (P * logp).sum() * c, (z,), "softmax_xent",
+        lambda g, need: (_log_softmax_taped_vjp(z, mul(bcast_to(scale(g, c), shp), Tensor(P))),),
         lambda g, need: (_log_softmax_vjp(logp, np.full(shp, g * c, dtype=np.float64) * P),),
     )
 

@@ -206,10 +206,10 @@ def evaluate_model(
     retain = bg.retain_samples(bundle)
     fa = accuracy(model, forget) if len(forget) else float("nan")
     ra = accuracy(model, retain)
-    ta = accuracy(model, bundle.test)
 
     X, y, groups, _ = bg.stack(bundle.test)
     preds = md.predict(model, X)
+    ta = float((preds == y).mean())
     bin_preds = binarize_predictions(bundle, preds)
     bin_labels = binarize_predictions(bundle, y)
     bin_groups = binarize_groups(bundle, groups)

@@ -459,10 +459,11 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
                    config_path=None) -> RunManifest:
     """generate -> baseline -> gold -> strategies -> evaluate -> Co-BUM -> emit.
 
-    Each strategy restarts from the persisted baseline checkpoint, so sibling
-    strategies never see each other's updates. A failing strategy becomes a
-    "failed" table row; a failing stage aborts the run but leaves the manifest
-    and any partial artifacts behind.
+    Every strategy gets the in-memory baseline (and SCRUB the gold model as
+    teacher) and works on its own copy, so sibling strategies never see each
+    other's updates. A failing strategy becomes a "failed" table row; a
+    failing stage aborts the run but leaves the manifest and any partial
+    artifacts behind.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -518,12 +519,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     def _strategies():
         results = {}
         for name in cfg.strategies:
-            # Fresh copies from disk: strategies must not share live objects.
-            base_copy = md.load_checkpoint(manifest.checkpoints["baseline"])
-            gold_copy = (md.load_checkpoint(manifest.checkpoints["gold"])
-                         if ul.POST_HOC_STRATEGIES[name].needs_teacher else None)
             try:
-                result = run_strategy(name, cfg, bundle, base_copy, gold_copy,
+                result = run_strategy(name, cfg, bundle, baseline, gold_result.model,
                                       master_seed)
             except Exception as e:
                 manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"

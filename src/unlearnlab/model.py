@@ -47,7 +47,11 @@ class ModelParams:
     head: str
     seed: int
     adapters: dict[int, LoraAdapter] = field(default_factory=dict)
-    frozen_base: bool = False
+
+    @property
+    def frozen_base(self) -> bool:
+        """True while adapters are attached: training then moves only them."""
+        return bool(self.adapters)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -99,10 +103,7 @@ def copy_model(model: ModelParams) -> ModelParams:
         i: LoraAdapter(a.layer, a.rank, ad.tensor(a.A.data.copy()), ad.tensor(a.B.data.copy()))
         for i, a in model.adapters.items()
     }
-    return ModelParams(
-        layers=layers, head=model.head, seed=model.seed,
-        adapters=adapters, frozen_base=model.frozen_base,
-    )
+    return ModelParams(layers=layers, head=model.head, seed=model.seed, adapters=adapters)
 
 
 def effective_weights(model: ModelParams) -> list[tuple[ad.Tensor, ad.Tensor]]:
@@ -194,17 +195,11 @@ def predict_proba(model: ModelParams, X) -> np.ndarray:
 
 
 def trainable_params(model: ModelParams) -> list[ad.Tensor]:
+    """The adapter factors while any are attached, else every W and b."""
     if model.frozen_base:
-        out: list[ad.Tensor] = []
-        for i in sorted(model.adapters):
-            out.extend((model.adapters[i].A, model.adapters[i].B))
-        return out
-    out = []
-    for W, b in model.layers:
-        out.extend((W, b))
-    for i in sorted(model.adapters):
-        out.extend((model.adapters[i].A, model.adapters[i].B))
-    return out
+        return [t for i in sorted(model.adapters)
+                for t in (model.adapters[i].A, model.adapters[i].B)]
+    return [t for W, b in model.layers for t in (W, b)]
 
 
 class Adam:
@@ -273,24 +268,26 @@ def train(
 # ---------------------------------------------------------------------------
 
 def attach_lora(model: ModelParams, layer_indices: list[int], rank: int, seed: int) -> ModelParams:
-    """Add rank-r adapters; A seeded uniform, B zero, base marked frozen.
+    """Add rank-r adapters; A seeded uniform, B zero, which freezes the base.
 
-    B = 0 means the forward pass is unchanged at attach time.
+    B = 0 means the forward pass is unchanged at attach time. Every index and
+    the rank are checked first, so a rejected call leaves the model as it was.
     """
     if model.adapters:
         raise ValueError("adapters already attached")
-    rng = np.random.default_rng(seed)
     for idx in layer_indices:
         if not 0 <= idx < len(model.layers):
             raise ValueError(f"no layer {idx} in a {len(model.layers)}-layer model")
         d_out, d_in = model.layers[idx][0].shape
         if not 1 <= rank <= min(d_out, d_in):
             raise ValueError(f"rank {rank} outside [1, {min(d_out, d_in)}] for layer {idx}")
+    rng = np.random.default_rng(seed)
+    for idx in layer_indices:
+        d_out, d_in = model.layers[idx][0].shape
         bound = np.sqrt(6.0 / (d_out + rank))
         A = ad.tensor(rng.uniform(-bound, bound, size=(d_out, rank)))
         B = ad.tensor(np.zeros((rank, d_in)))
         model.adapters[idx] = LoraAdapter(idx, rank, A, B)
-    model.frozen_base = True
     return model
 
 
@@ -301,7 +298,6 @@ def merge_lora(model: ModelParams) -> ModelParams:
         W, b = merged.layers[i]
         merged.layers[i] = (ad.tensor(W.data + adapter.A.data @ adapter.B.data), b)
     merged.adapters.clear()
-    merged.frozen_base = False
     return merged
 
 
@@ -344,15 +340,15 @@ def flat_param_closure(model: ModelParams, scope: str = "all"):
     return theta0, rebuild
 
 
-def body_features(model: ModelParams, X) -> np.ndarray:
-    """Activations entering the final layer, as a constant array."""
+def head_inputs(model: ModelParams, X) -> ad.Tensor:
+    """What the final layer reads, as a graph node: the inputs themselves
+    for a depth-1 model, else the body's activations."""
     weights = effective_weights(model)
     if len(weights) == 1:
-        return np.asarray(X, dtype=np.float64)
-    h = forward_stack(weights[:-1], X)
+        return ad.tensor(np.asarray(X, dtype=np.float64))
     # forward_stack skips the relu after its last listed layer; the body's
     # output feeds the head through a relu in the full model.
-    return np.maximum(h.data, 0.0)
+    return ad.relu(forward_stack(weights[:-1], X))
 
 
 def set_flat_params(model: ModelParams, flat: np.ndarray, scope: str = "all") -> None:
@@ -370,8 +366,6 @@ def set_flat_params(model: ModelParams, flat: np.ndarray, scope: str = "all") ->
             t.data = flat[pos : pos + size].reshape(t.data.shape).copy()
             pos += size
         model.adapters.pop(i, None)
-    if not model.adapters:
-        model.frozen_base = False
     if pos != flat.size:
         raise ad.ShapeError(f"flat vector length {flat.size} != parameter count {pos}")
 
@@ -439,8 +433,8 @@ def load_checkpoint(path) -> ModelParams:
 
     Anything malformed raises ValueError naming the file: a header that is
     not JSON or lacks a field, a payload of the wrong length, arrays whose
-    shapes do not fit the header's layer sizes and adapters, or non-finite
-    values.
+    shapes do not fit the header's layer sizes and adapters, a frozen_base
+    flag that disagrees with the adapters, or non-finite values.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -494,8 +488,7 @@ def load_checkpoint(path) -> ModelParams:
         (array(f"layer{i}.weight", (d_out, d_in)), array(f"layer{i}.bias", (d_out,)))
         for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:]))
     ]
-    model = ModelParams(layers=layers, head=head, seed=header["seed"],
-                        frozen_base=header["frozen_base"])
+    model = ModelParams(layers=layers, head=head, seed=header["seed"])
     for meta in header["adapters"]:
         i, rank = meta["layer"], meta["rank"]
         if not 0 <= i < len(layers) or rank < 1:
@@ -506,4 +499,7 @@ def load_checkpoint(path) -> ModelParams:
             i, rank, array(f"adapter{i}.A", (d_out, rank)), array(f"adapter{i}.B", (rank, d_in)))
     if [e["name"] for e in entries] != [name for name, _ in _array_manifest(model)]:
         raise ValueError(f"checkpoint {path}: header lists arrays the model does not use")
+    if header["frozen_base"] != model.frozen_base:
+        raise ValueError(f"checkpoint {path}: frozen_base is {header['frozen_base']} "
+                         f"with {len(model.adapters)} adapters")
     return model

@@ -92,7 +92,7 @@ def loss_closure(model: md.ModelParams, samples, scope: str = "all"):
     if not len(X):
         raise ValueError("loss_closure: empty sample set")
     theta0, rebuild = md.flat_param_closure(model, scope)
-    inputs = md.body_features(model, X) if scope == "head" else X
+    inputs = md.head_inputs(model, X).data if scope == "head" else X
     head = model.head
 
     def fn(flat: ad.Tensor) -> ad.Tensor:
@@ -163,7 +163,9 @@ def gradient_ascent(
     truncated = False
     for step in range(cfg.steps):
         idx = rng.choice(len(retain), size=batch, replace=False)
-        snapshot = [p.data.copy() for p in params]
+        # Updates rebind .data and nothing writes into it, so the arrays
+        # themselves are the snapshot.
+        snapshot = [p.data for p in params]
         loss_f = md.loss(work, Xf, yf)
         loss_r = md.loss(work, Xr[idx], yr[idx])
         objective = ad.sub(loss_f, ad.scale(loss_r, cfg.alpha))
@@ -361,8 +363,23 @@ def scrub_unlearn(
 
 
 # ---------------------------------------------------------------------------
-# Influence scores.
+# Curvature: influence scores and the Newton step share one gradient and one
+# damped solve.
 # ---------------------------------------------------------------------------
+
+def _flat_grad(fn: Callable[[ad.Tensor], ad.Tensor], theta0: np.ndarray) -> np.ndarray:
+    """Gradient of fn at the flat parameter vector theta0."""
+    leaf = ad.tensor(theta0)
+    (g,) = ad.grad(fn(leaf), [leaf])
+    return g.data
+
+
+def _damped_solve(fn: Callable[[ad.Tensor], ad.Tensor], theta0: np.ndarray,
+                  rhs: np.ndarray, damping: float, max_iter: int, tol: float) -> ad.CGResult:
+    """(H + damping*I)^{-1} rhs by CG, H the Hessian of fn at theta0."""
+    hvp = ad.hvp_operator(fn, ad.tensor(theta0))
+    return ad.cg_solve(lambda v: hvp(v).data, rhs, damping=damping, max_iter=max_iter, tol=tol)
+
 
 @dataclass
 class InfluenceResult:
@@ -392,19 +409,10 @@ def influence(
     scope "all", raises autodiff.IndefiniteError.
     """
     theta0, train_fn = loss_closure(model, train_samples, scope)
-
-    leaf = ad.tensor(theta0)
-    (g_bias,) = ad.grad(bias_measure(leaf), [leaf])
-
-    hvp = ad.hvp_operator(train_fn, ad.tensor(theta0))
-    solve = ad.cg_solve(
-        lambda v: hvp(v).data, g_bias.data, damping=damping, max_iter=max_iter, tol=tol,
-    )
-
+    g_bias = _flat_grad(bias_measure, theta0)
+    solve = _damped_solve(train_fn, theta0, g_bias, damping, max_iter, tol)
     _, sample_fn = loss_closure(model, sample, scope)
-    sample_leaf = ad.tensor(theta0)
-    (g_sample,) = ad.grad(sample_fn(sample_leaf), [sample_leaf])
-    value = -float(g_sample.data @ solve.x)
+    value = -float(_flat_grad(sample_fn, theta0) @ solve.x)
     return InfluenceResult(value, solve.converged, solve.iterations, solve.residual_norm)
 
 
@@ -435,16 +443,10 @@ def newton_unlearn_step(
     to a plain gradient step scaled by 1/damping; plain non-convergence keeps
     the partial CG solution and is reported in the info.
     """
-    leaf = ad.tensor(theta0)
-    (g,) = ad.grad(loss_fn(leaf), [leaf])
-    grad_vec = g.data
-
+    grad_vec = _flat_grad(loss_fn, theta0)
     fallback = False
     try:
-        hvp = ad.hvp_operator(loss_fn, ad.tensor(theta0))
-        solve = ad.cg_solve(
-            lambda v: hvp(v).data, grad_vec, damping=damping, max_iter=max_iter, tol=tol,
-        )
+        solve = _damped_solve(loss_fn, theta0, grad_vec, damping, max_iter, tol)
         step = solve.x
         converged, iterations, residual = solve.converged, solve.iterations, solve.residual_norm
     except (ad.NonFiniteError, ad.IndefiniteError):
@@ -455,31 +457,23 @@ def newton_unlearn_step(
     return theta0 - step, info
 
 
-def _embedding_graph(model: md.ModelParams, X: np.ndarray) -> ad.Tensor | None:
-    """Activations entering the head, as graph nodes; None for depth-1 models."""
-    weights = md.effective_weights(model)
-    if len(weights) == 1:
-        return None
-    return ad.relu(md.forward_stack(weights[:-1], X))
-
-
 def fmd_unlearn(
     model: md.ModelParams,
+    bundle: bg.DataBundle,
     counterfactual: np.recarray,
     cfg: StrategyConfig,
-    bundle: bg.DataBundle | None = None,
-    paired: bool = False,
 ) -> UnlearnResult:
-    """One damped Newton step on the counterfactual mean gradient, then an
-    optional fine-tune on the counterfactual set.
+    """One damped Newton step on the mean gradient of the counterfactual set
+    D_c built from bundle, then an optional fine-tune on D_c.
 
     The Hessian scope defaults to the head parameters; non-head weights are
-    untouched by the Newton step in that mode. Unpaired, the fine-tune is
-    cross-entropy on the head only. Paired (row i of the counterfactual set
-    alters the bias block of the bundle's forget row i), it is a joint
-    objective over all parameters: cross-entropy plus the mean squared
-    distance between the two rows' embeddings, pulling the representation
-    toward ignoring the altered block.
+    untouched by the Newton step in that mode. How the fine-tune runs depends
+    on whether the bundle's scenario pairs D_c with D_f. Unpaired, it is
+    cross-entropy on the head only. Paired (row i of D_c alters the bias
+    block of forget row i), it is a joint objective over all trainable
+    parameters: cross-entropy plus the mean squared distance between the two
+    rows' head inputs, pulling the representation toward ignoring the
+    altered block; a depth-1 model has no representation and skips it.
     """
     if not len(counterfactual):
         raise ValueError("fmd_unlearn: empty counterfactual set")
@@ -495,30 +489,27 @@ def fmd_unlearn(
     cost = float(n_c * (1 + 2 * info.iterations))
     log: list[dict] = [{
         "step": 0,
-        "forget_loss": _mean_loss(work, bg.forget_samples(bundle)) if bundle else float("nan"),
-        "retain_loss": _mean_loss(work, bg.retain_samples(bundle)) if bundle else float("nan"),
+        "forget_loss": _mean_loss(work, bg.forget_samples(bundle)),
+        "retain_loss": _mean_loss(work, bg.retain_samples(bundle)),
         "counterfactual_loss": loss_before,
         "step_norm": info.step_norm,
     }]
 
     if cfg.finetune_steps:
+        paired = bg.SCENARIOS[bundle.kind].paired_counterfactual
         if paired:
             params = md.trainable_params(work)
             Xf = bg.stack(bg.forget_samples(bundle))[0]
         else:
-            W, b = work.layers[-1]
-            params = [W, b]
+            params = list(work.layers[-1])
         opt = md.Adam(params, cfg.eta)
         for k in range(cfg.finetune_steps):
             objective = md.loss(work, Xc, yc)
             cost += n_c
-            if paired:
-                ea = _embedding_graph(work, Xf)
-                eb = _embedding_graph(work, Xc)
-                if ea is not None:
-                    gap = ad.scale(ad.sq_norm(ad.sub(ea, eb)), 1.0 / n_c)
-                    objective = ad.add(objective, gap)
-                    cost += 2 * n_c
+            if paired and len(work.layers) > 1:
+                gap = ad.sq_norm(ad.sub(md.head_inputs(work, Xf), md.head_inputs(work, Xc)))
+                objective = ad.add(objective, ad.scale(gap, 1.0 / n_c))
+                cost += 2 * n_c
             grads = ad.grad(objective, params)
             opt.step([g.data for g in grads])
             log.append({"step": k + 1, "finetune_loss": float(objective.data)})
@@ -541,20 +532,15 @@ def fmd_unlearn(
 class Strategy:
     """A post-hoc strategy: its table label, the StrategyConfig fields it
     reads (its config section's keys), whether it needs a counterfactual set
-    or the gold model as teacher (else it gets None), and run(model, teacher,
-    bundle, cfg, counterfactual), which looks the strategy function up on
-    this module at each call."""
+    or the gold model as teacher (else it may get None), and run(model,
+    teacher, bundle, cfg, counterfactual), which looks the strategy function
+    up on this module at each call."""
 
     label: str
     reads: tuple[str, ...]
     run: Callable[..., UnlearnResult]
     needs_counterfactual: bool = False
     needs_teacher: bool = False
-
-
-def _run_fmd(model, teacher, bundle, cfg, d_c):
-    return fmd_unlearn(model, d_c, cfg, bundle=bundle,
-                       paired=bg.SCENARIOS[bundle.kind].paired_counterfactual)
 
 
 POST_HOC_STRATEGIES = {
@@ -569,6 +555,7 @@ POST_HOC_STRATEGIES = {
         lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg),
         needs_teacher=True),
     "fmd": Strategy(
-        "FMD", ("eta", "damping", "finetune_steps", "hessian_scope"), _run_fmd,
+        "FMD", ("eta", "damping", "finetune_steps", "hessian_scope"),
+        lambda model, teacher, bundle, cfg, d_c: fmd_unlearn(model, bundle, d_c, cfg),
         needs_counterfactual=True),
 }

@@ -4,6 +4,9 @@ before any model code relies on it."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -646,6 +649,56 @@ def test_hvp_operator_shape_checks():
         hvp(np.ones(4))
     with pytest.raises(ad.ShapeError):
         ad.hvp_operator(lambda t: ad.mul(t, t), ad.tensor(np.ones(3)))
+
+
+
+# ---------------------------------------------------------------------------
+# Freeing graphs. A vjp that held its own node would make a reference cycle,
+# and with the cycle collector off its arrays would outlive a dropped graph.
+# ---------------------------------------------------------------------------
+
+SELF_REFERENT_OPS = {
+    "sigmoid": ad.sigmoid,
+    "exp": ad.exp,
+    "log_softmax": ad.log_softmax,
+    "softmax_xent": lambda z: ad.softmax_xent(z, np.full(z.shape, 1.0 / z.shape[1])),
+}
+
+@pytest.mark.parametrize("op", SELF_REFERENT_OPS.values(), ids=SELF_REFERENT_OPS.keys())
+def test_dropped_graph_is_freed_without_the_cycle_collector(op):
+    x = ad.tensor(np.random.default_rng(70).normal(size=(4, 3)))
+    gc.disable()
+    try:
+        out = op(x)
+        (g,) = ad.grad(ad.sum_all(out), [x], create_graph=True)
+        (h,) = ad.grad(ad.sum_all(g), [x], create_graph=True)
+        ad.grad(ad.sum_all(h), [x])
+        freed = weakref.ref(out.data)
+        del out, g, h
+        assert freed() is None
+    finally:
+        gc.enable()
+
+def test_dropped_hvp_operator_is_freed_without_the_cycle_collector():
+    rng = np.random.default_rng(71)
+    P = np.full((4, 3), 1.0 / 3)
+    outputs = []
+
+    def loss_fn(t):
+        z = ad.reshape(t, (4, 3))
+        xent, s = ad.softmax_xent(z, P), ad.sigmoid(z)
+        outputs.extend((xent, s))
+        return ad.add(xent, ad.mean_all(s))
+
+    gc.disable()
+    try:
+        hvp = ad.hvp_operator(loss_fn, ad.tensor(rng.normal(size=12)))
+        hvp(rng.normal(size=12))
+        freed = [weakref.ref(t.data) for t in outputs]
+        del hvp, outputs[:]
+        assert [ref() is None for ref in freed] == [True, True]
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

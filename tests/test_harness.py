@@ -425,6 +425,18 @@ def test_run_experiment_strategy_isolation(tiny_config, tmp_path):
     md.load_checkpoint(manifest.checkpoints["baseline"])
 
 
+def test_run_experiment_reads_no_checkpoint(tmp_path, monkeypatch):
+    # Strategies get the in-memory baseline and gold model, not reloads.
+    loads = []
+    monkeypatch.setattr(md, "load_checkpoint", lambda path: loads.append(path))
+    path = write_config(tmp_path, TINY_RUNS["patch"])
+    cfg = hn.load_config(path)
+    manifest = hn.run_experiment(cfg, 7, tmp_path / "run", config_path=path)
+    assert set(cfg.strategies) == set(ul.POST_HOC_STRATEGIES)
+    assert not manifest.failed_strategies
+    assert loads == []
+
+
 def test_failed_strategy_marks_row_and_keeps_siblings(tmp_path, tiny_config):
     text = tiny_config.read_text().replace("rank = 2", "rank = 10")
     path = write_config(tmp_path, text)
@@ -526,6 +538,7 @@ MALFORMED_HEADERS = {
     "list-header": lambda h: [h],
     "string-shape": lambda h: {**h, "arrays": [{**h["arrays"][0], "shape": "8x7"},
                                                *h["arrays"][1:]]},
+    "frozen-base-without-adapters": lambda h: {**h, "frozen_base": True},
 }
 
 

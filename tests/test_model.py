@@ -221,6 +221,28 @@ def test_adapter_rank_bounds_enforced():
         md.attach_lora(m, [1], rank=1, seed=0)
 
 
+@pytest.mark.parametrize("layers, rank", [([0, 7], 2), ([0, 1], 4)],
+                         ids=["missing-layer", "rank-too-large"])
+def test_failed_attach_leaves_model_unchanged(layers, rank):
+    m = md.init_model([5, 4, 3], "softmax", seed=26)
+    before = model_bytes(m)
+    with pytest.raises(ValueError):
+        md.attach_lora(m, layers, rank=rank, seed=0)
+    assert not m.adapters and not m.frozen_base
+    assert len(md.trainable_params(m)) == 4
+    assert model_bytes(m) == before
+
+
+def test_frozen_base_follows_the_adapters():
+    m = md.init_model([5, 4, 3], "softmax", seed=26)
+    md.attach_lora(m, [0, 1], rank=2, seed=0)
+    assert m.frozen_base
+    assert md.trainable_params(m) == [m.adapters[0].A, m.adapters[0].B,
+                                      m.adapters[1].A, m.adapters[1].B]
+    with pytest.raises(AttributeError):
+        m.frozen_base = False
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints.
 # ---------------------------------------------------------------------------
@@ -298,6 +320,7 @@ MALFORMED_HEADERS = {
     "adapter-on-missing-layer": replace_field("adapters", [{"layer": 5, "rank": 1}]),
     "adapter-not-listed": replace_field("adapters", []),
     "adapter-without-rank": replace_field("adapters", [{"layer": 0}]),
+    "adapters-with-unfrozen-base": replace_field("frozen_base", False),
 }
 
 @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
@@ -307,6 +330,17 @@ def test_checkpoint_malformed_header_rejected(tmp_path, edit):
     rewrite_header(p, edit)
     with pytest.raises(ValueError, match="odd.ckpt"):
         md.load_checkpoint(p)
+
+def test_checkpoint_frozen_base_must_match_adapters(tmp_path):
+    plain = tmp_path / "plain.ckpt"
+    md.save_checkpoint(md.init_model([3, 4, 2], "softmax", seed=33), plain)
+    rewrite_header(plain, replace_field("frozen_base", True))
+    adapted = tmp_path / "adapted.ckpt"
+    save_with_adapter(adapted)
+    rewrite_header(adapted, replace_field("frozen_base", False))
+    for p in (plain, adapted):
+        with pytest.raises(ValueError, match=f"{p.name}: frozen_base"):
+            md.load_checkpoint(p)
 
 def test_checkpoint_nonfinite_payload_rejected(tmp_path):
     p = tmp_path / "nan.ckpt"

@@ -486,16 +486,16 @@ def test_newton_indefinite_falls_back_to_gradient():
 # ---------------------------------------------------------------------------
 
 def test_fmd_rejects_empty_counterfactual(patch_setup):
-    _, baseline = patch_setup
+    bundle, baseline = patch_setup
     with pytest.raises(ValueError):
-        ul.fmd_unlearn(baseline, [], ul.StrategyConfig())
+        ul.fmd_unlearn(baseline, bundle, [], ul.StrategyConfig())
 
 
 def test_fmd_head_scope_touches_only_head(patch_setup):
     bundle, baseline = patch_setup
     d_c = bg.build_counterfactual(bundle, seed=21)
     cfg = ul.StrategyConfig(damping=1e-2, seed=0)
-    result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle)
+    result = ul.fmd_unlearn(baseline, bundle, d_c, cfg)
     for (W0, b0), (W1, b1) in zip(baseline.layers[:-1], result.model.layers[:-1]):
         assert W0.data.tobytes() == W1.data.tobytes()
         assert b0.data.tobytes() == b1.data.tobytes()
@@ -510,7 +510,7 @@ def test_fmd_newton_step_fixes_masked_probes(patch_setup):
     Xp, yp, _, _ = bg.stack(probes)
     before = float((md.predict(baseline, Xp) == yp).mean())
     cfg = ul.StrategyConfig(damping=1e-2, seed=0)
-    result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle)
+    result = ul.fmd_unlearn(baseline, bundle, d_c, cfg)
     after = float((md.predict(result.model, Xp) == yp).mean())
     assert after > before
 
@@ -523,12 +523,12 @@ def test_fmd_contrastive_pairs_shrink_embedding_gap(patch_setup):
     def gap(m):
         Xa = np.stack([np.concatenate([smp.s, smp.b]) for smp in forget])
         Xb = np.stack([np.concatenate([smp.s, smp.b]) for smp in d_c])
-        ea = md.body_features(m, Xa)
-        eb = md.body_features(m, Xb)
+        ea = md.head_inputs(m, Xa).data
+        eb = md.head_inputs(m, Xb).data
         return float(np.mean(np.sum((ea - eb) ** 2, axis=1)))
 
     cfg = ul.StrategyConfig(damping=1e-2, eta=3e-3, finetune_steps=8, seed=0)
-    result = ul.fmd_unlearn(baseline, d_c, cfg, bundle=bundle, paired=True)
+    result = ul.fmd_unlearn(baseline, bundle, d_c, cfg)
     assert gap(result.model) < gap(baseline)
     assert len(result.step_log) == 1 + 8
 
@@ -537,7 +537,7 @@ def test_fmd_contrastive_pairs_shrink_embedding_gap(patch_setup):
 # Cross-strategy invariants.
 # ---------------------------------------------------------------------------
 
-def run_strategy(name, baseline, bundle):
+def run_strategy(name, baseline, teacher, bundle):
     if name == "gradient_ascent":
         return ul.gradient_ascent(
             baseline, bundle, ul.StrategyConfig(eta=1e-3, steps=3, seed=1)
@@ -548,21 +548,50 @@ def run_strategy(name, baseline, bundle):
         )
     if name == "scrub":
         return ul.scrub_unlearn(
-            baseline, md.copy_model(baseline), bundle,
-            ul.StrategyConfig(eta=1e-3, steps=3, seed=1),
+            baseline, teacher, bundle, ul.StrategyConfig(eta=1e-3, steps=3, seed=1),
         )
     d_c = bg.build_counterfactual(bundle, seed=1)
     return ul.fmd_unlearn(
-        baseline, d_c, ul.StrategyConfig(damping=1e-1, seed=1), bundle=bundle
+        baseline, bundle, d_c, ul.StrategyConfig(damping=1e-1, finetune_steps=2, seed=1)
     )
 
 
 @pytest.mark.parametrize("name", ["gradient_ascent", "lora", "scrub", "fmd"])
 def test_strategies_leave_baseline_untouched(name, patch_setup):
+    # run_experiment hands every strategy the same in-memory baseline and
+    # teacher, so a strategy that wrote into either would corrupt its siblings.
     bundle, baseline = patch_setup
-    before = model_bytes(baseline)
-    result = run_strategy(name, baseline, bundle)
+    teacher = md.copy_model(baseline)
+    teacher.layers[-1][1].data = teacher.layers[-1][1].data + 0.25
+    before, teacher_before = model_bytes(baseline), model_bytes(teacher)
+    result = run_strategy(name, baseline, teacher, bundle)
     assert model_bytes(baseline) == before
+    assert model_bytes(teacher) == teacher_before
     assert result.model is not baseline
     assert result.wall_time_seconds > 0.0
     assert result.cost_units > 0.0
+
+
+@pytest.fixture(scope="module")
+def pose_setup():
+    bundle = bg.gen_pose_bias(150, 3, 0.9, seed=12)
+    X, y, _, _ = bg.stack(bundle.train)
+    baseline = md.init_model([bundle.d_s + bundle.d_b, 8, 3], "softmax", 8)
+    md.train(baseline, (X, y), md.TrainConfig(epochs=5, batch_size=32, learning_rate=3e-3, seed=8))
+    return bundle, baseline
+
+
+@pytest.mark.parametrize("setup, paired", [("pose_setup", False), ("patch_setup", True)])
+def test_fmd_finetune_pairing_follows_the_scenario(setup, paired, request):
+    bundle, baseline = request.getfixturevalue(setup)
+    assert bg.SCENARIOS[bundle.kind].paired_counterfactual is paired
+    d_c = bg.build_counterfactual(bundle, seed=25)
+    cfg = ul.StrategyConfig(damping=1.0, eta=3e-3, finetune_steps=3, seed=0)
+    result = ul.fmd_unlearn(baseline, bundle, d_c, cfg)
+    body = [t.data.tobytes() for W, b in baseline.layers[:-1] for t in (W, b)]
+    moved = [t.data.tobytes() for W, b in result.model.layers[:-1] for t in (W, b)]
+    # Unpaired, the fine-tune trains the head alone; paired, it trains the
+    # body too, toward equal head inputs across each pair.
+    assert (moved != body) is paired
+    assert result.model.layers[-1][0].data.tobytes() != baseline.layers[-1][0].data.tobytes()
+    assert len(result.step_log) == 1 + 3
