@@ -345,7 +345,7 @@ def head_inputs(model: ModelParams, X) -> ad.Tensor:
     for a depth-1 model, else the body's activations."""
     weights = effective_weights(model)
     if len(weights) == 1:
-        return ad.tensor(np.asarray(X, dtype=np.float64))
+        return ad.tensor(X)
     # forward_stack skips the relu after its last listed layer; the body's
     # output feeds the head through a relu in the full model.
     return ad.relu(forward_stack(weights[:-1], X))

@@ -651,7 +651,6 @@ def test_hvp_operator_shape_checks():
         ad.hvp_operator(lambda t: ad.mul(t, t), ad.tensor(np.ones(3)))
 
 
-
 # ---------------------------------------------------------------------------
 # Freeing graphs. A vjp that held its own node would make a reference cycle,
 # and with the cycle collector off its arrays would outlive a dropped graph.

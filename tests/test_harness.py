@@ -547,7 +547,9 @@ MALFORMED_HEADERS = {
 def test_cli_malformed_checkpoint_header_is_operator_error(
         tiny_config, tmp_path, capsys, stage, edit):
     ckpt = tmp_path / "odd.ckpt"
-    md.save_checkpoint(md.init_model([7, 8, 3], "softmax", 0), ckpt)
+    # The model fits the tiny config's 18-wide, 3-class bundle, so only the
+    # edited header can be at fault.
+    md.save_checkpoint(md.init_model([18, 8, 3], "softmax", 0), ckpt)
     raw = ckpt.read_bytes()
     cut = raw.find(b"\n")
     ckpt.write_bytes(json.dumps(edit(json.loads(raw[:cut]))).encode() + raw[cut:])

@@ -331,17 +331,6 @@ def test_checkpoint_malformed_header_rejected(tmp_path, edit):
     with pytest.raises(ValueError, match="odd.ckpt"):
         md.load_checkpoint(p)
 
-def test_checkpoint_frozen_base_must_match_adapters(tmp_path):
-    plain = tmp_path / "plain.ckpt"
-    md.save_checkpoint(md.init_model([3, 4, 2], "softmax", seed=33), plain)
-    rewrite_header(plain, replace_field("frozen_base", True))
-    adapted = tmp_path / "adapted.ckpt"
-    save_with_adapter(adapted)
-    rewrite_header(adapted, replace_field("frozen_base", False))
-    for p in (plain, adapted):
-        with pytest.raises(ValueError, match=f"{p.name}: frozen_base"):
-            md.load_checkpoint(p)
-
 def test_checkpoint_nonfinite_payload_rejected(tmp_path):
     p = tmp_path / "nan.ckpt"
     raw = save_with_adapter(p)
