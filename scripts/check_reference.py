@@ -4,12 +4,16 @@
 Runs each config in configs/ at master seeds 1-3 in a temporary directory and
 compares the sha256 of its results.{csv,json,md} with the reference digests.
 Prints one `config@seed ok|MISMATCH` line per run and exits 1 on any mismatch.
+Then prints one sha256 over every file the runs wrote except manifest.json,
+which alone holds wall-clock times and paths: two checkouts that write the
+same bytes print the same line, so their outputs compare with `diff`.
 
     python3 scripts/check_reference.py
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +45,12 @@ def main() -> int:
                 except workloads.Mismatch as e:
                     failed += 1
                     print(f"{key} MISMATCH: {e}")
+        digest = hashlib.sha256()
+        for path in sorted(Path(tmp).rglob("*")):
+            if path.is_file() and path.name != "manifest.json":
+                digest.update(str(path.relative_to(tmp)).encode() + b"\0")
+                digest.update(path.read_bytes())
+        print(f"all files but manifest.json: sha256 {digest.hexdigest()}")
     return 1 if failed else 0
 
 

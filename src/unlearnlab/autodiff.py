@@ -1,12 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Builds a define-by-run tape of primitive operations. Each primitive records its
-parents and two vector-Jacobian products that apply the same numpy operations
-in the same order, so both give bitwise-identical gradients. Both are called
-as ``vjp(g, need)``: ``g`` is the gradient flowing into the node and ``need``
-holds one flag per parent, true when some tensor in ``grad``'s ``wrt`` lies in
-that parent's ancestry. A vjp returns one entry per parent and may return
-None where the flag is false; the multi-parent primitives (``mul``,
+Builds a define-by-run tape of primitive operations. Each primitive has one
+record, a ``_Prim``: an array forward, which returns the output and whatever
+the backward needs saved, and two vector-Jacobian products that apply the same
+numpy operations in the same order, so both give bitwise-identical gradients.
+A node holds its record, its parents, the constant its primitive was called
+with (a scale factor, a slice, a shape) and the saved value. The vjps are
+called as ``vjp(node, g, need)``: ``g`` is the gradient flowing into the node
+and ``need`` holds one flag per parent, true when some tensor in ``grad``'s
+``wrt`` lies in that parent's ancestry. A vjp returns one entry per parent and
+may return None where the flag is false; the multi-parent primitives (``mul``,
 ``matmul``, ``linear``, and ``sub`` for its second operand) do, so the
 gradient of a constant operand, such as a model's inputs, is never formed:
 
@@ -30,7 +33,11 @@ make and reuse it while that operand's ``.data`` is the same array object, so
 the constant operands of a CG solve are transposed once, not per iteration;
 the reuse keys on array identity, so code that rebinds ``.data`` (as the
 optimisers do) gets a fresh copy, and nothing may write into a graph's
-arrays in place.
+arrays in place. A ``StepPlan`` does the same for a minibatch step: it tapes
+the step once per batch shape, then replays it, rerunning the recorded
+forwards on each new batch and the backward down a fixed plan (the trace-once
+idiom of Frostig, Johnson & Leary 2018, "Compiling machine learning programs
+via high-level tracing").
 
 Two fused primitives replace common chains with one node each and the same
 arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
@@ -55,6 +62,7 @@ infinity that reaches only the gradient of a constant input goes unreported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -75,29 +83,25 @@ class IndefiniteError(ArithmeticError):
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    # math.isfinite reads a 0-d array as a float, in a tenth of the time.
+    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise NonFiniteError(f"{op}: result contains non-finite values")
 
 
 class Tensor:
-    """A node in the computation graph: a value plus provenance.
+    """A node in the computation graph: a value plus provenance. A leaf has
+    no parents and no record."""
 
-    ``vjp(g, need)`` maps the gradient flowing into this node to gradients
-    for the parents that ``need`` flags, building new graph nodes as it goes;
-    ``array_vjp`` does the same arithmetic on plain arrays. Leaves have no
-    parents.
-    """
+    __slots__ = ("data", "parents", "prim", "const", "saved")
 
-    __slots__ = ("data", "parents", "op", "vjp", "array_vjp")
-
-    def __init__(self, data, parents=(), op="leaf", vjp=None, array_vjp=None):
+    def __init__(self, data, op="leaf"):
         arr = np.asarray(data, dtype=np.float64)
         _finite_or_raise(arr, op)
-        self.data = arr
-        self.parents: tuple[Tensor, ...] = tuple(parents)
-        self.op = op
-        self.vjp: Callable | None = vjp
-        self.array_vjp: Callable | None = array_vjp
+        self.data, self.parents, self.prim, self.const, self.saved = arr, (), None, None, None
+
+    @property
+    def op(self) -> str:
+        return self.prim.op if self.prim is not None else "leaf"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -119,14 +123,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
+def _same_shape(a, b, op: str) -> tuple[Tensor, Tensor]:
+    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
+    return a, b
 
 
-def _require_ndim(a: Tensor, ndim: int, op: str) -> None:
-    if a.data.ndim != ndim:
-        raise ShapeError(f"{op}: expected {ndim}-d operand, got shape {a.shape}")
+def _operand(x, ndim: int, op: str) -> Tensor:
+    x = _as_tensor(x)
+    if x.data.ndim != ndim:
+        raise ShapeError(f"{op}: expected {ndim}-d operand, got shape {x.shape}")
+    return x
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -134,178 +142,184 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Primitives. Each returns a new node whose taped vjp is built from
-# primitives, so second derivatives come out of the same machinery, and whose
-# array vjp repeats that arithmetic on ndarrays. A single-parent node is only
-# differentiated when its parent is needed, so its vjps ignore ``need``.
-# A taped vjp closes over its operands only, never over its own node: sigmoid,
-# exp and log_softmax, whose derivatives reuse their output, rebuild that
-# output from the operand. A graph thus holds no reference cycle and is freed
-# as soon as it is dropped.
+# Primitives. A record's ``forward(c, *xs)`` maps the node's constant and its
+# operands' arrays to (output, saved). A single-parent node is only
+# differentiated when its parent is needed, so its vjps ignore ``need``. A
+# vjp never keeps its node: sigmoid, exp and log_softmax, whose taped
+# derivatives reuse their output, rebuild it from the operand, so a graph
+# holds no reference cycle and is freed as soon as it is dropped.
 # ---------------------------------------------------------------------------
+
+class _Prim:
+    __slots__ = ("op", "forward", "array_vjp", "taped_vjp")
+
+    def __init__(self, op, forward, array_vjp, taped_vjp=None):
+        self.op, self.forward, self.array_vjp = op, forward, array_vjp
+        self.taped_vjp = taped_vjp or array_vjp
+
+
+# Nodes made while a StepPlan tapes its step, in the order they are made.
+_recording: list | None = None
+
+
+def _run(node: Tensor) -> None:
+    """Set a node's output and saved value from its parents' current data;
+    the tape and a step plan's replay both go through here."""
+    out, saved = node.prim.forward(node.const, *[p.data for p in node.parents])
+    out = np.asarray(out, dtype=np.float64)
+    _finite_or_raise(out, node.prim.op)
+    node.data, node.saved = out, saved
+
+
+def _node(prim: _Prim, parents: tuple, const=None) -> Tensor:
+    node = Tensor.__new__(Tensor)
+    node.parents, node.prim, node.const = parents, prim, const
+    _run(node)
+    if _recording is not None:
+        _recording.append(node)
+    return node
+
+
+_ADD = _Prim("add", lambda c, a, b: (a + b, None), lambda n, g, need: (g, g))
+_SUB = _Prim("sub", lambda c, a, b: (a - b, None),
+             lambda n, g, need: (g, g * -1.0 if need[1] else None),
+             lambda n, g, need: (g, scale(g, -1.0) if need[1] else None))
+_MUL = _Prim("mul", lambda c, a, b: (a * b, None),
+             lambda n, g, need: (g * n.parents[1].data if need[0] else None,
+                                 g * n.parents[0].data if need[1] else None),
+             lambda n, g, need: (mul(g, n.parents[1]) if need[0] else None,
+                                 mul(g, n.parents[0]) if need[1] else None))
+_SCALE = _Prim("scale", lambda c, a: (a * c, None), lambda n, g, need: (g * n.const,),
+               lambda n, g, need: (scale(g, n.const),))
+_ADDC = _Prim("addc", lambda c, a: (a + c, None), lambda n, g, need: (g,))
+
 
 def add(a, b) -> Tensor:
     """Elementwise sum of two same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "add")
-    return Tensor(
-        a.data + b.data, (a, b), "add", lambda g, need: (g, g), lambda g, need: (g, g)
-    )
+    return _node(_ADD, _same_shape(a, b, "add"))
 
 
 def sub(a, b) -> Tensor:
     """Elementwise difference of two same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "sub")
-    return Tensor(
-        a.data - b.data, (a, b), "sub",
-        lambda g, need: (g, scale(g, -1.0) if need[1] else None),
-        lambda g, need: (g, g * -1.0 if need[1] else None),
-    )
+    return _node(_SUB, _same_shape(a, b, "sub"))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product of two same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_same_shape(a, b, "mul")
-    return Tensor(
-        a.data * b.data, (a, b), "mul",
-        lambda g, need: (mul(g, b) if need[0] else None, mul(g, a) if need[1] else None),
-        lambda g, need: (g * b.data if need[0] else None, g * a.data if need[1] else None),
-    )
+    return _node(_MUL, _same_shape(a, b, "mul"))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply a tensor by a python scalar constant."""
-    a = _as_tensor(a)
-    c = float(c)
-    return Tensor(
-        a.data * c, (a,), "scale", lambda g, need: (scale(g, c),), lambda g, need: (g * c,)
-    )
+    return _node(_SCALE, (_as_tensor(a),), float(c))
 
 
 def addc(a, c: float) -> Tensor:
     """Add a python scalar constant elementwise."""
-    a = _as_tensor(a)
-    return Tensor(a.data + float(c), (a,), "addc", lambda g, need: (g,), lambda g, need: (g,))
+    return _node(_ADDC, (_as_tensor(a),), float(c))
 
 
 def neg(a) -> Tensor:
     return scale(a, -1.0)
 
 
-class _Transposed:
-    """``t.data.T.copy()`` for an array vjp: copied on first use and reused
-    while ``t.data`` is still the same array object, so repeated backward
-    passes over one graph, such as a CG solve's Hessian-vector products,
-    transpose a constant operand once. Rebinding ``t.data`` makes a fresh
-    copy; a write into the array in place would not be seen, and nothing in
-    the package makes one."""
+def _transposed(node: Tensor, i: int) -> np.ndarray:
+    """``node.parents[i].data.T.copy()`` for an array vjp, kept in the node's
+    saved dict while that ``.data`` is the same array object (see the module
+    docstring): a write into the array in place would not be seen."""
+    data = node.parents[i].data
+    held = node.saved.get(i)
+    if held is None or held[0] is not data:
+        held = node.saved[i] = (data, data.T.copy())
+    return held[1]
 
-    __slots__ = ("t", "src", "copy")
 
-    def __init__(self, t: Tensor):
-        self.t, self.src, self.copy = t, None, None
-
-    def __call__(self) -> np.ndarray:
-        data = self.t.data
-        if data is not self.src:
-            self.src, self.copy = data, data.T.copy()
-        return self.copy
+_MATMUL = _Prim("matmul", lambda c, a, b: (a @ b, {}),
+                lambda n, g, need: (g @ _transposed(n, 1) if need[0] else None,
+                                    _transposed(n, 0) @ g if need[1] else None),
+                lambda n, g, need: (matmul(g, transpose(n.parents[1])) if need[0] else None,
+                                    matmul(transpose(n.parents[0]), g) if need[1] else None))
+_LINEAR = _Prim("linear", lambda c, h, W, b: (h @ W.T.copy() + b, {}),
+                lambda n, g, need: (g @ n.parents[1].data if need[0] else None,
+                                    (_transposed(n, 0) @ g).T.copy() if need[1] else None,
+                                    g.sum(axis=0) if need[2] else None),
+                lambda n, g, need: (matmul(g, n.parents[1]) if need[0] else None,
+                                    transpose(matmul(transpose(n.parents[0]), g))
+                                    if need[1] else None,
+                                    colsum(g) if need[2] else None))
+# transpose keeps its copies: a matmul reading a transposed view rounds
+# differently, which would part linear's two vjps and move influence scores.
+_TRANSPOSE = _Prim("transpose", lambda c, a: (a.T.copy(), None),
+                   lambda n, g, need: (g.T.copy(),), lambda n, g, need: (transpose(g),))
 
 
 def matmul(a, b) -> Tensor:
     """Strict 2-d matrix product."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    _require_ndim(a, 2, "matmul")
-    _require_ndim(b, 2, "matmul")
+    a, b = _operand(a, 2, "matmul"), _operand(b, 2, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not chain")
-    aT, bT = _Transposed(a), _Transposed(b)
-    return Tensor(
-        a.data @ b.data,
-        (a, b),
-        "matmul",
-        lambda g, need: (matmul(g, transpose(b)) if need[0] else None,
-                         matmul(transpose(a), g) if need[1] else None),
-        lambda g, need: (g @ bT() if need[0] else None,
-                         aT() @ g if need[1] else None),
-    )
+    return _node(_MATMUL, (a, b))
 
 
 def linear(h, W, b) -> Tensor:
     """Dense layer h W^T + b for a (n, d_in) input, (d_out, d_in) weight and
     length-d_out bias: one node in place of a matmul/transpose/rowbcast/add
     chain, with the same arithmetic."""
-    h, W, b = _as_tensor(h), _as_tensor(W), _as_tensor(b)
-    _require_ndim(h, 2, "linear")
-    _require_ndim(W, 2, "linear")
-    _require_ndim(b, 1, "linear")
+    h, W, b = _operand(h, 2, "linear"), _operand(W, 2, "linear"), _operand(b, 1, "linear")
     if h.shape[1] != W.shape[1] or b.shape[0] != W.shape[0]:
         raise ShapeError(
-            f"linear: input {h.shape}, weight {W.shape} and bias {b.shape} do not chain"
-        )
-    hT = _Transposed(h)
-    return Tensor(
-        h.data @ W.data.T.copy() + b.data,
-        (h, W, b),
-        "linear",
-        lambda g, need: (matmul(g, W) if need[0] else None,
-                         transpose(matmul(transpose(h), g)) if need[1] else None,
-                         colsum(g) if need[2] else None),
-        lambda g, need: (g @ W.data if need[0] else None,
-                         (hT() @ g).T.copy() if need[1] else None,
-                         g.sum(axis=0) if need[2] else None),
-    )
+            f"linear: input {h.shape}, weight {W.shape} and bias {b.shape} do not chain")
+    return _node(_LINEAR, (h, W, b))
 
 
 def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    _require_ndim(a, 2, "transpose")
-    return Tensor(
-        a.data.T.copy(), (a,), "transpose",
-        lambda g, need: (transpose(g),),
-        lambda g, need: (g.T.copy(),),
-    )
+    return _node(_TRANSPOSE, (_operand(a, 2, "transpose"),))
+
+
+def _relu_mask(n) -> np.ndarray:
+    return (n.parents[0].data > 0.0).astype(np.float64)
+
+
+def _sigmoid_taped_vjp(n, g, need):
+    t = sigmoid(n.parents[0])
+    return (mul(g, mul(t, addc(neg(t), 1.0))),)
+
+
+def _exp(c, a):
+    with np.errstate(over="ignore"):
+        return np.exp(a), None
+
+
+_RELU = _Prim("relu", lambda c, a: (np.maximum(a, 0.0), None),
+              lambda n, g, need: (g * _relu_mask(n),),
+              lambda n, g, need: (mul(g, Tensor(_relu_mask(n))),))
+_SIGMOID = _Prim("sigmoid", lambda c, a: (_sigmoid(a), None),
+                 lambda n, g, need: (g * (n.data * (n.data * -1.0 + 1.0)),),
+                 _sigmoid_taped_vjp)
+_SOFTPLUS = _Prim("softplus", lambda c, a: (np.logaddexp(0.0, a), None),
+                  lambda n, g, need: (g * _sigmoid(n.parents[0].data),),
+                  lambda n, g, need: (mul(g, sigmoid(n.parents[0])),))
+_EXP = _Prim("exp", _exp, lambda n, g, need: (g * n.data,),
+             lambda n, g, need: (mul(g, exp(n.parents[0])),))
 
 
 def relu(a) -> Tensor:
     """max(x, 0); subgradient 0 at the kink."""
-    a = _as_tensor(a)
-    return Tensor(
-        np.maximum(a.data, 0.0), (a,), "relu",
-        lambda g, need: (mul(g, Tensor((a.data > 0.0).astype(np.float64))),),
-        lambda g, need: (g * (a.data > 0.0).astype(np.float64),),
-    )
+    return _node(_RELU, (_as_tensor(a),))
 
 
 def sigmoid(a) -> Tensor:
     """Logistic function, computed via tanh for stability at large |x|."""
-    a = _as_tensor(a)
-    s = _sigmoid(a.data)
-
-    def vjp(g, need):
-        t = sigmoid(a)
-        return (mul(g, mul(t, addc(neg(t), 1.0))),)
-
-    return Tensor(s, (a,), "sigmoid", vjp, lambda g, need: (g * (s * (s * -1.0 + 1.0)),))
+    return _node(_SIGMOID, (_as_tensor(a),))
 
 
 def softplus(a) -> Tensor:
     """log(1 + exp(x)) without overflow; derivative is the logistic function."""
-    a = _as_tensor(a)
-    return Tensor(
-        np.logaddexp(0.0, a.data), (a,), "softplus",
-        lambda g, need: (mul(g, sigmoid(a)),),
-        lambda g, need: (g * _sigmoid(a.data),),
-    )
+    return _node(_SOFTPLUS, (_as_tensor(a),))
 
 
 def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        e = np.exp(a.data)
-    return Tensor(e, (a,), "exp", lambda g, need: (mul(g, exp(a)),), lambda g, need: (g * e,))
+    return _node(_EXP, (_as_tensor(a),))
 
 
 # See the module docstring. numpy's pairwise summation starts at 8 entries,
@@ -342,52 +356,65 @@ def _log_softmax_taped_vjp(a: Tensor, g: Tensor) -> Tensor:
     return sub(g, mul(exp(log_softmax(a)), colbcast(rowsum(g), a.shape[1])))
 
 
+def _xent(c, z, P):
+    logp = _log_softmax(z)
+    return (P * logp).sum() * c, logp
+
+
+_LOG_SOFTMAX = _Prim("log_softmax", lambda c, a: (_log_softmax(a), None),
+                     lambda n, g, need: (_log_softmax_vjp(n.data, g),),
+                     lambda n, g, need: (_log_softmax_taped_vjp(n.parents[0], g),))
+_SOFTMAX_XENT = _Prim(
+    "softmax_xent", _xent,
+    lambda n, g, need: (_log_softmax_vjp(
+        n.saved, np.full(n.saved.shape, g * n.const, dtype=np.float64) * n.parents[1].data), None),
+    lambda n, g, need: (_log_softmax_taped_vjp(
+        n.parents[0], mul(bcast_to(scale(g, n.const), n.saved.shape), n.parents[1])), None))
+
+
 def log_softmax(a) -> Tensor:
     """Row-wise log of softmax probabilities for a (n, k) logit matrix."""
-    a = _as_tensor(a)
-    _require_ndim(a, 2, "log_softmax")
-    logp = _log_softmax(a.data)
-    return Tensor(
-        logp, (a,), "log_softmax",
-        lambda g, need: (_log_softmax_taped_vjp(a, g),),
-        lambda g, need: (_log_softmax_vjp(logp, g),),
-    )
+    return _node(_LOG_SOFTMAX, (_operand(a, 2, "log_softmax"),))
 
 
 def softmax_xent(z, P) -> Tensor:
     """Cross-entropy -sum(P * log_softmax(z)) / n of a (n, k) logit matrix
-    against a constant (n, k) target distribution P: one node in place of a
+    against a (n, k) target distribution P: one node in place of a
     log_softmax/mul/sum_all/scale chain, with the same arithmetic.
 
-    The taped vjp builds that chain's backward from primitives, so
+    P is a constant parent (a leaf a step plan can rebind) and gets no
+    gradient. The taped vjp builds the chain's backward from primitives, so
     Hessian-vector products are unchanged. Only the scalar is checked for
     finiteness; a NaN or infinity in any intermediate makes it non-finite.
     """
-    z = _as_tensor(z)
-    _require_ndim(z, 2, "softmax_xent")
-    P = np.asarray(P, dtype=np.float64)
+    z, P = _operand(z, 2, "softmax_xent"), _as_tensor(P)
     if P.shape != z.shape:
         raise ShapeError(f"softmax_xent: targets {P.shape} vs logits {z.shape}")
     if z.shape[0] == 0:
         raise ShapeError("softmax_xent: empty batch")
-    c, shp = -1.0 / z.shape[0], z.shape
-    logp = _log_softmax(z.data)
-    return Tensor(
-        (P * logp).sum() * c, (z,), "softmax_xent",
-        lambda g, need: (_log_softmax_taped_vjp(z, mul(bcast_to(scale(g, c), shp), Tensor(P))),),
-        lambda g, need: (_log_softmax_vjp(logp, np.full(shp, g * c, dtype=np.float64) * P),),
-    )
+    return _node(_SOFTMAX_XENT, (z, P), -1.0 / z.shape[0])
+
+
+_SUM = _Prim("sum", lambda c, a: (a.sum(), None),
+             lambda n, g, need: (np.full(n.parents[0].shape, g, dtype=np.float64),),
+             lambda n, g, need: (bcast_to(g, n.parents[0].shape),))
+_ROWSUM = _Prim("rowsum", lambda c, a: (_row_reduce(np.add, a), None),
+                lambda n, g, need: (np.repeat(g[:, None], n.parents[0].shape[1], axis=1),),
+                lambda n, g, need: (colbcast(g, n.parents[0].shape[1]),))
+_COLSUM = _Prim("colsum", lambda c, a: (a.sum(axis=0), None),
+                lambda n, g, need: (np.tile(g, (n.parents[0].shape[0], 1)),),
+                lambda n, g, need: (rowbcast(g, n.parents[0].shape[0]),))
+_ROWBCAST = _Prim("rowbcast", lambda c, v: (np.tile(v, (c, 1)), None),
+                  lambda n, g, need: (g.sum(axis=0),), lambda n, g, need: (colsum(g),))
+_COLBCAST = _Prim("colbcast", lambda c, v: (np.repeat(v[:, None], c, axis=1), None),
+                  lambda n, g, need: (_row_reduce(np.add, g),), lambda n, g, need: (rowsum(g),))
+_BCAST_TO = _Prim("bcast_to", lambda c, s: (np.full(c, s, dtype=np.float64), None),
+                  lambda n, g, need: (g.sum(),), lambda n, g, need: (sum_all(g),))
 
 
 def sum_all(a) -> Tensor:
     """Sum of all elements, as a 0-d tensor."""
-    a = _as_tensor(a)
-    shp = a.shape
-    return Tensor(
-        a.data.sum(), (a,), "sum",
-        lambda g, need: (bcast_to(g, shp),),
-        lambda g, need: (np.full(shp, g, dtype=np.float64),),
-    )
+    return _node(_SUM, (_as_tensor(a),))
 
 
 def mean_all(a) -> Tensor:
@@ -406,48 +433,22 @@ def sq_norm(a) -> Tensor:
 
 def rowsum(a) -> Tensor:
     """Sum a (n, k) matrix over columns, yielding length-n vector."""
-    a = _as_tensor(a)
-    _require_ndim(a, 2, "rowsum")
-    k = a.shape[1]
-    return Tensor(
-        _row_reduce(np.add, a.data), (a,), "rowsum",
-        lambda g, need: (colbcast(g, k),),
-        lambda g, need: (np.repeat(g[:, None], k, axis=1),),
-    )
+    return _node(_ROWSUM, (_operand(a, 2, "rowsum"),))
 
 
 def colsum(a) -> Tensor:
     """Sum a (n, k) matrix over rows, yielding length-k vector."""
-    a = _as_tensor(a)
-    _require_ndim(a, 2, "colsum")
-    n = a.shape[0]
-    return Tensor(
-        a.data.sum(axis=0), (a,), "colsum",
-        lambda g, need: (rowbcast(g, n),),
-        lambda g, need: (np.tile(g, (n, 1)),),
-    )
+    return _node(_COLSUM, (_operand(a, 2, "colsum"),))
 
 
 def rowbcast(v, n: int) -> Tensor:
     """Tile a length-k vector into n identical rows."""
-    v = _as_tensor(v)
-    _require_ndim(v, 1, "rowbcast")
-    return Tensor(
-        np.tile(v.data, (n, 1)), (v,), "rowbcast",
-        lambda g, need: (colsum(g),),
-        lambda g, need: (g.sum(axis=0),),
-    )
+    return _node(_ROWBCAST, (_operand(v, 1, "rowbcast"),), n)
 
 
 def colbcast(v, k: int) -> Tensor:
     """Tile a length-n vector into k identical columns."""
-    v = _as_tensor(v)
-    _require_ndim(v, 1, "colbcast")
-    return Tensor(
-        np.repeat(v.data[:, None], k, axis=1), (v,), "colbcast",
-        lambda g, need: (rowsum(g),),
-        lambda g, need: (_row_reduce(np.add, g),),
-    )
+    return _node(_COLBCAST, (_operand(v, 1, "colbcast"),), k)
 
 
 def bcast_to(s, shape: tuple[int, ...]) -> Tensor:
@@ -455,25 +456,7 @@ def bcast_to(s, shape: tuple[int, ...]) -> Tensor:
     s = _as_tensor(s)
     if s.data.ndim != 0:
         raise ShapeError(f"bcast_to: expected scalar, got shape {s.shape}")
-    return Tensor(
-        np.full(shape, s.data, dtype=np.float64), (s,), "bcast_to",
-        lambda g, need: (sum_all(g),),
-        lambda g, need: (g.sum(),),
-    )
-
-
-def narrow(v, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) of a 1-d tensor."""
-    v = _as_tensor(v)
-    _require_ndim(v, 1, "narrow")
-    total = v.shape[0]
-    if start < 0 or length < 0 or start + length > total:
-        raise ShapeError(f"narrow: [{start}, {start + length}) outside length {total}")
-    return Tensor(
-        v.data[start : start + length].copy(), (v,), "narrow",
-        lambda g, need: (embed(g, start, total),),
-        lambda g, need: (_embed(g, start, total),),
-    )
+    return _node(_BCAST_TO, (s,), shape)
 
 
 def _embed(v: np.ndarray, start: int, total: int) -> np.ndarray:
@@ -482,30 +465,41 @@ def _embed(v: np.ndarray, start: int, total: int) -> np.ndarray:
     return out
 
 
+# narrow, embed's vjp and reshape return views: nothing writes into a graph.
+_NARROW = _Prim("narrow", lambda c, v: (v[c[0] : c[0] + c[1]], None),
+                lambda n, g, need: (_embed(g, n.const[0], n.parents[0].shape[0]),),
+                lambda n, g, need: (embed(g, n.const[0], n.parents[0].shape[0]),))
+_EMBED = _Prim("embed", lambda c, v: (_embed(v, *c), None),
+               lambda n, g, need: (g[n.const[0] : n.const[0] + n.parents[0].shape[0]],),
+               lambda n, g, need: (narrow(g, n.const[0], n.parents[0].shape[0]),))
+_RESHAPE = _Prim("reshape", lambda c, a: (a.reshape(c), None),
+                 lambda n, g, need: (g.reshape(n.parents[0].shape),),
+                 lambda n, g, need: (reshape(g, n.parents[0].shape),))
+
+
+def narrow(v, start: int, length: int) -> Tensor:
+    """Contiguous slice [start, start+length) of a 1-d tensor."""
+    v = _operand(v, 1, "narrow")
+    total = v.shape[0]
+    if start < 0 or length < 0 or start + length > total:
+        raise ShapeError(f"narrow: [{start}, {start + length}) outside length {total}")
+    return _node(_NARROW, (v,), (start, length))
+
+
 def embed(v, start: int, total: int) -> Tensor:
     """Place a 1-d tensor into a zero vector of length ``total`` at ``start``."""
-    v = _as_tensor(v)
-    _require_ndim(v, 1, "embed")
+    v = _operand(v, 1, "embed")
     length = v.shape[0]
     if start < 0 or start + length > total:
         raise ShapeError(f"embed: [{start}, {start + length}) outside length {total}")
-    return Tensor(
-        _embed(v.data, start, total), (v,), "embed",
-        lambda g, need: (narrow(g, start, length),),
-        lambda g, need: (g[start : start + length].copy(),),
-    )
+    return _node(_EMBED, (v,), (start, total))
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
     if int(np.prod(shape, dtype=np.int64)) != a.data.size:
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}")
-    old = a.shape
-    return Tensor(
-        a.data.reshape(shape).copy(), (a,), "reshape",
-        lambda g, need: (reshape(g, old),),
-        lambda g, need: (g.reshape(old).copy(),),
-    )
+    return _node(_RESHAPE, (a,), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +564,8 @@ def _backprop(
         g = adjoint.get(node)
         if g is None:
             continue
-        parent_grads = node.vjp(g, mask) if create_graph else node.array_vjp(g, mask)
+        vjp = node.prim.taped_vjp if create_graph else node.prim.array_vjp
+        parent_grads = vjp(node, g, mask)
         for parent, pg, wanted in zip(node.parents, parent_grads, mask):
             if not wanted:
                 continue
@@ -607,6 +602,55 @@ def grad(
         raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
     seed = Tensor(np.ones(())) if create_graph else np.ones(())
     return _backprop(_plan(output, wrt), {output: seed}, wrt, create_graph)
+
+
+class StepPlan:
+    """A minibatch step, taped once per tuple of input shapes and replayed.
+
+    ``build(*leaves)`` makes the step's graph from one leaf per input array
+    and from long-lived tensors such as parameters, and returns its outputs.
+    The first ``forward`` for some input shapes (a last partial batch has its
+    own) tapes ``build`` and keeps its nodes in the order made. Later ones
+    rebind the leaves, check them as ``tensor`` does and rerun the nodes'
+    forwards in that order, each checked as on the tape. ``grad(output)``
+    runs the backward down the plan ``_plan`` made for that output, so every
+    value is bitwise that of taping the step afresh. Parameters are read at
+    their current ``.data``; a leaf that ``build`` makes is a constant.
+    """
+
+    def __init__(self, build: Callable[..., Sequence[Tensor]], wrt: Sequence[Tensor]):
+        self.build, self.wrt = build, list(wrt)
+        self.traces: dict = {}  # input shapes -> (leaves, nodes, outputs)
+        self.plans: dict = {}  # output -> _plan(output, wrt)
+
+    def forward(self, *arrays) -> tuple[Tensor, ...]:
+        global _recording
+        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        key = tuple(a.shape for a in arrays)
+        if key in self.traces:
+            leaves, nodes, outputs = self.traces[key]
+            for leaf, arr in zip(leaves, arrays):
+                _finite_or_raise(arr, "leaf")
+                leaf.data = arr
+            for node in nodes:
+                _run(node)
+            return outputs
+        leaves = [Tensor(a) for a in arrays]
+        _recording = nodes = []
+        try:
+            outputs = tuple(self.build(*leaves))
+        finally:
+            _recording = None
+        self.traces[key] = (leaves, nodes, outputs)
+        return outputs
+
+    def grad(self, output: Tensor) -> list[Tensor]:
+        """Gradients of a scalar output of the last ``forward`` w.r.t. ``wrt``."""
+        if output not in self.plans:
+            if output.data.ndim != 0:
+                raise ShapeError(f"grad: output must be scalar, got shape {output.shape}")
+            self.plans[output] = _plan(output, self.wrt)
+        return _backprop(self.plans[output], {output: np.ones(())}, self.wrt, False)
 
 
 def hvp_operator(

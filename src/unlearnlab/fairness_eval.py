@@ -30,7 +30,6 @@ class EvalReport:
     dp_gap: float
     eo_gap: float
     mia_auc: float
-    wall_time_seconds: float = 0.0
     time_units: float = 0.0
     dp_drop_pct: float | None = None
     eo_drop_pct: float | None = None
@@ -196,7 +195,6 @@ def binarize_groups(bundle: bg.DataBundle, groups: np.ndarray) -> np.ndarray:
 def evaluate_model(
     model: md.ModelParams,
     bundle: bg.DataBundle,
-    wall_time_seconds: float = 0.0,
     time_units: float = 0.0,
     baseline: EvalReport | None = None,
 ) -> EvalReport:
@@ -219,10 +217,8 @@ def evaluate_model(
 
     mia = mia_auc(model, forget, bundle.test) if len(forget) else float("nan")
 
-    report = EvalReport(
-        fa=fa, ra=ra, ta=ta, dp_gap=dp, eo_gap=eo, mia_auc=mia,
-        wall_time_seconds=wall_time_seconds, time_units=time_units,
-    )
+    report = EvalReport(fa=fa, ra=ra, ta=ta, dp_gap=dp, eo_gap=eo, mia_auc=mia,
+                        time_units=time_units)
     if baseline is not None:
         # A gapless baseline leaves the relative drop undefined; NaN marks it.
         report.dp_drop_pct = (fairness_drop_pct(baseline.dp_gap, dp)

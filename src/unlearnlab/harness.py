@@ -434,7 +434,8 @@ def load_report(path) -> fe.EvalReport:
 
 @dataclass
 class RunManifest:
-    """What a run produced and how long each stage took."""
+    """What a run produced and how long each stage, training run and
+    strategy took; the reports count cost units, so they reproduce."""
 
     config_path: str | None
     config_sha256: str
@@ -442,6 +443,7 @@ class RunManifest:
     tool_version: str
     out_dir: str
     stage_seconds: dict = field(default_factory=dict)
+    wall_seconds: dict = field(default_factory=dict)
     checkpoints: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
     failed_strategies: dict = field(default_factory=dict)
@@ -504,13 +506,15 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
 
     def _baseline():
         model, wall, units = train_baseline(cfg, bundle, master_seed)
+        manifest.wall_seconds["baseline"] = wall
         manifest.checkpoints["baseline"] = str(save_model(model, out, "baseline"))
-        return model, wall, units
+        return model, units
 
-    baseline, baseline_wall, baseline_units = stage("baseline", _baseline)
+    baseline, baseline_units = stage("baseline", _baseline)
 
     def _gold():
         result = train_gold(cfg, bundle, master_seed)
+        manifest.wall_seconds["gold"] = result.wall_time_seconds
         manifest.checkpoints["gold"] = str(save_model(result.model, out, "gold"))
         return result
 
@@ -525,6 +529,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
             except Exception as e:
                 manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
                 continue
+            manifest.wall_seconds[name] = result.wall_time_seconds
             manifest.checkpoints[name] = str(save_model(result.model, out, name))
             results[name] = result
         return results
@@ -532,19 +537,15 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     strategy_results = stage("strategies", _strategies)
 
     def _evaluate():
-        base_report = fe.evaluate_model(baseline, bundle,
-                                        wall_time_seconds=baseline_wall,
-                                        time_units=baseline_units)
+        base_report = fe.evaluate_model(baseline, bundle, time_units=baseline_units)
         reports = {"baseline": base_report}
-        reports["gold"] = fe.evaluate_model(
-            gold_result.model, bundle,
-            wall_time_seconds=gold_result.wall_time_seconds,
-            time_units=gold_result.cost_units, baseline=base_report)
+        reports["gold"] = fe.evaluate_model(gold_result.model, bundle,
+                                            time_units=gold_result.cost_units,
+                                            baseline=base_report)
         for name, result in strategy_results.items():
-            reports[name] = fe.evaluate_model(
-                result.model, bundle,
-                wall_time_seconds=result.wall_time_seconds,
-                time_units=result.cost_units, baseline=base_report)
+            reports[name] = fe.evaluate_model(result.model, bundle,
+                                              time_units=result.cost_units,
+                                              baseline=base_report)
         eval_path = write_json(out / "eval_reports.json",
                                {name: report_to_dict(r) for name, r in reports.items()})
         manifest.reports["eval_json"] = str(eval_path)

@@ -145,21 +145,24 @@ def _check_labels(model: ModelParams, y: np.ndarray) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def loss_from_logits(logits: ad.Tensor, y: np.ndarray, head: str) -> ad.Tensor:
-    """Mean cross-entropy as a differentiable scalar.
+def loss_targets(y: np.ndarray, head: str, k: int) -> np.ndarray:
+    """The loss's constant operand for labels y: one-hot rows of width k for
+    a softmax head, a label column for a sigmoid head."""
+    return y.reshape(-1, 1).astype(np.float64) if head == "sigmoid" else np.eye(k)[y]
 
-    softmax: -mean log p_y. sigmoid: mean(softplus(z) - y z), the stable
-    form of binary cross-entropy on logits.
-    """
-    n = logits.shape[0]
-    if n == 0:
+
+def target_loss(logits: ad.Tensor, targets: ad.Tensor, head: str) -> ad.Tensor:
+    """Mean cross-entropy against a leaf of loss_targets. softmax: -mean
+    log p_y. sigmoid: mean(softplus(z) - y z), stable on logits."""
+    if logits.shape[0] == 0:
         raise ad.ShapeError("loss: empty batch")
     if head == "softmax":
-        onehot = np.zeros(logits.shape)
-        onehot[np.arange(n), y] = 1.0
-        return ad.softmax_xent(logits, onehot)
-    ycol = ad.tensor(y.reshape(n, 1).astype(np.float64))
-    return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, ycol)))
+        return ad.softmax_xent(logits, targets)
+    return ad.mean_all(ad.sub(ad.softplus(logits), ad.mul(logits, targets)))
+
+
+def loss_from_logits(logits: ad.Tensor, y: np.ndarray, head: str) -> ad.Tensor:
+    return target_loss(logits, ad.tensor(loss_targets(y, head, logits.shape[1])), head)
 
 
 def loss(model: ModelParams, X, y) -> ad.Tensor:
@@ -252,14 +255,16 @@ def train(
     t0 = time.perf_counter()
     params = trainable_params(model)
     opt = Adam(params, config.learning_rate)
+    targets = loss_targets(y, model.head, model.layer_sizes[-1])
+    plan = ad.StepPlan(lambda Xb, Tb: (target_loss(forward(model, Xb), Tb, model.head),),
+                       params)
     n = X.shape[0]
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch_loss = loss(model, X[idx], y[idx])
-            grads = ad.grad(batch_loss, params)
-            opt.step([g.data for g in grads])
+            (batch_loss,) = plan.forward(X[idx], targets[idx])
+            opt.step([g.data for g in plan.grad(batch_loss)])
     return model, time.perf_counter() - t0
 
 

@@ -157,6 +157,14 @@ def gradient_ascent(
 
     work = md.copy_model(model)
     params = md.trainable_params(work)
+    Tr = md.loss_targets(yr, work.head, work.layer_sizes[-1])
+
+    def build(X, T):
+        loss_f = md.loss(work, Xf, yf)
+        loss_r = md.target_loss(md.forward(work, X), T, work.head)
+        return ad.sub(loss_f, ad.scale(loss_r, cfg.alpha)), loss_f, loss_r
+
+    plan = ad.StepPlan(build, params)
     t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
@@ -166,11 +174,8 @@ def gradient_ascent(
         # Updates rebind .data and nothing writes into it, so the arrays
         # themselves are the snapshot.
         snapshot = [p.data for p in params]
-        loss_f = md.loss(work, Xf, yf)
-        loss_r = md.loss(work, Xr[idx], yr[idx])
-        objective = ad.sub(loss_f, ad.scale(loss_r, cfg.alpha))
-        grads = ad.grad(objective, params)
-        for p, g in zip(params, grads):
+        objective, loss_f, loss_r = plan.forward(Xr[idx], Tr[idx])
+        for p, g in zip(params, plan.grad(objective)):
             p.data = p.data + cfg.eta * g.data
         cost += len(forget) + batch
 
@@ -225,24 +230,29 @@ def lora_unlearn(
     md.attach_lora(work, [layer_idx], cfg.rank, cfg.seed)
     params = md.trainable_params(work)
     opt = md.Adam(params, cfg.eta)
-
+    Tr = md.loss_targets(yr, work.head, work.layer_sizes[-1])
     use_forget = len(forget) > 0 and cfg.beta > 0.0
+
+    def build(X, T):
+        loss_r = md.target_loss(md.forward(work, X), T, work.head)
+        if not use_forget:
+            return loss_r, loss_r
+        loss_f = md.loss(work, Xf, yf)
+        return ad.sub(loss_r, ad.scale(loss_f, cfg.beta)), loss_r, loss_f
+
+    plan = ad.StepPlan(build, params)
     t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
         idx = rng.choice(len(retain), size=batch, replace=False)
-        loss_r = md.loss(work, Xr[idx], yr[idx])
+        objective, loss_r, *loss_f = plan.forward(Xr[idx], Tr[idx])
         if use_forget:
-            loss_f = md.loss(work, Xf, yf)
-            objective = ad.sub(loss_r, ad.scale(loss_f, cfg.beta))
-            forget_val = float(loss_f.data)
+            forget_val = float(loss_f[0].data)
             cost += len(forget)
         else:
-            objective = loss_r
             forget_val = _mean_loss(work, forget)
-        grads = ad.grad(objective, params)
-        opt.step([g.data for g in grads])
+        opt.step([g.data for g in plan.grad(objective)])
         cost += batch
         log.append({
             "step": step,
@@ -270,20 +280,28 @@ def _plogp_terms(p: np.ndarray, head: str) -> np.ndarray:
     return p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
 
 
+def _teacher_operands(p: np.ndarray, plogp: np.ndarray, head: str) -> list[np.ndarray]:
+    """The constants of KL(teacher || p's student) given plogp =
+    _plogp_terms(p, head): the mean p log p as a 0-d array, p, and for a
+    sigmoid head 1 - p. SCRUB indexes p and plogp per step."""
+    if head == "softmax":
+        return [np.asarray(float(np.sum(plogp)) / p.shape[0]), p]
+    return [np.asarray(float(np.mean(plogp))), p, 1.0 - p]
+
+
+def _teacher_kl(z: ad.Tensor, head: str, plogp: ad.Tensor, p: ad.Tensor, q=None) -> ad.Tensor:
+    """Mean KL(teacher || student) of student logits z as a graph scalar,
+    from the leaves of _teacher_operands."""
+    if head == "softmax":
+        return ad.add(ad.softmax_xent(z, p), plogp)
+    cross = ad.mean_all(ad.add(ad.mul(p, ad.softplus(ad.neg(z))), ad.mul(q, ad.softplus(z))))
+    return ad.add(cross, plogp)
+
+
 def _kl_to_teacher(p: np.ndarray, plogp: np.ndarray, student_logits: ad.Tensor,
                    head: str) -> ad.Tensor:
-    """Mean KL(teacher || student) as a graph scalar; p is a constant and
-    plogp is _plogp_terms(p, head), which SCRUB computes once per teacher
-    array and indexes per step."""
-    if head == "softmax":
-        return ad.addc(ad.softmax_xent(student_logits, p), float(np.sum(plogp)) / p.shape[0])
-    cross = ad.mean_all(
-        ad.add(
-            ad.mul(ad.tensor(p), ad.softplus(ad.neg(student_logits))),
-            ad.mul(ad.tensor(1.0 - p), ad.softplus(student_logits)),
-        )
-    )
-    return ad.addc(cross, float(np.mean(plogp)))
+    """_teacher_kl on constant leaves."""
+    return _teacher_kl(student_logits, head, *map(ad.tensor, _teacher_operands(p, plogp, head)))
 
 
 def scrub_unlearn(
@@ -297,7 +315,8 @@ def scrub_unlearn(
 
     The forget KL is clipped at FORGET_KL_CLIP per batch by dropping its
     gradient once past the cap; the logged total always equals
-    retain_kl + task_loss - forget_used.
+    retain_kl + task_loss - forget_used. Each step's plan computes both
+    totals, and the backward runs from the one the forget KL selects.
     """
     if baseline.layer_sizes != teacher.layer_sizes or baseline.head != teacher.head:
         raise ValueError(
@@ -320,34 +339,39 @@ def scrub_unlearn(
     student = md.copy_model(baseline)
     params = md.trainable_params(student)
     opt = md.Adam(params, cfg.eta)
+    Tr = md.loss_targets(yr, student.head, student.layer_sizes[-1])
+
+    def build(X, T, *teacher_leaves):
+        z_r = md.forward(student, X)
+        retain_kl = _teacher_kl(z_r, student.head, *teacher_leaves)
+        task = md.target_loss(z_r, T, student.head)
+        keep_terms = ad.add(retain_kl, task)
+        if not len(forget):
+            return retain_kl, task, keep_terms
+        forget_kl = _kl_to_teacher(teacher_f, plogp_f, md.forward(student, Xf), student.head)
+        return (retain_kl, task, keep_terms, forget_kl, ad.sub(keep_terms, forget_kl),
+                ad.addc(keep_terms, -FORGET_KL_CLIP))
+
+    plan = ad.StepPlan(build, params)
     t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
         idx = rng.choice(len(retain), size=batch, replace=False)
-        z_r = md.forward(student, Xr[idx])
-        retain_kl = _kl_to_teacher(teacher_r[idx], plogp_r[idx], z_r, student.head)
-        task = md.loss_from_logits(z_r, yr[idx], student.head)
-        keep_terms = ad.add(retain_kl, task)
+        retain_kl, task, total, *forget_out = plan.forward(
+            Xr[idx], Tr[idx], *_teacher_operands(teacher_r[idx], plogp_r[idx], student.head))
         cost += batch
 
-        forget_kl_val = 0.0
-        forget_used = 0.0
-        if len(forget):
-            z_f = md.forward(student, Xf)
-            forget_kl = _kl_to_teacher(teacher_f, plogp_f, z_f, student.head)
+        forget_kl_val = forget_used = 0.0
+        if forget_out:
+            forget_kl, used, clipped = forget_out
             forget_kl_val = float(forget_kl.data)
             if forget_kl_val <= FORGET_KL_CLIP:
-                total = ad.sub(keep_terms, forget_kl)
-                forget_used = forget_kl_val
+                total, forget_used = used, forget_kl_val
                 cost += len(forget)
             else:
-                total = ad.addc(keep_terms, -FORGET_KL_CLIP)
-                forget_used = FORGET_KL_CLIP
-        else:
-            total = keep_terms
-        grads = ad.grad(total, params)
-        opt.step([g.data for g in grads])
+                total, forget_used = clipped, FORGET_KL_CLIP
+        opt.step([g.data for g in plan.grad(total)])
         log.append({
             "step": step,
             "forget_loss": forget_kl_val,

@@ -453,18 +453,19 @@ def test_grad_of_any_parent_subset_is_bitwise_the_full_grad(op):
 def record_vjp_requests(output):
     """Wrap every node's vjps under output; return the (node, need, result) log."""
     log = []
+
+    def logged(fn):
+        def wrapped(node, g, need):
+            result = fn(node, g, need)
+            log.append((node, need, result))
+            return result
+        return wrapped
+
     for node in ad.trace(output).nodes:
-        for attr in ("vjp", "array_vjp"):
-            fn = getattr(node, attr)
-            if fn is None:
-                continue
-
-            def wrapped(g, need, fn=fn, node=node):
-                result = fn(g, need)
-                log.append((node, need, result))
-                return result
-
-            setattr(node, attr, wrapped)
+        prim = node.prim
+        if prim is not None:
+            node.prim = ad._Prim(prim.op, prim.forward, logged(prim.array_vjp),
+                                 logged(prim.taped_vjp))
     return log
 
 def assert_vjps_asked_only_for_ancestry(output, wrt, create_graph=False):

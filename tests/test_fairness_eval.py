@@ -407,7 +407,7 @@ def test_evaluate_model_fields_and_drops():
     X, y, _, _ = bg.stack(bundle.train)
     m = md.init_model([bundle.d_s + bundle.d_b, 16, 2], "softmax", 0)
     md.train(m, (X, y), md.TrainConfig(epochs=15, batch_size=64, learning_rate=3e-3, seed=0))
-    base = fe.evaluate_model(m, bundle, wall_time_seconds=1.5, time_units=42.0)
+    base = fe.evaluate_model(m, bundle, time_units=42.0)
     for v in (base.fa, base.ra, base.ta, base.mia_auc):
         assert 0.0 <= v <= 1.0
     assert 0.0 <= base.dp_gap <= 1.0

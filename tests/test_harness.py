@@ -379,6 +379,24 @@ def test_report_from_dict_rejects_unknown_fields():
 # run_experiment.
 # ---------------------------------------------------------------------------
 
+def test_rerun_writes_identical_files_but_the_manifest(tiny_config, tmp_path):
+    cfg = hn.load_config(tiny_config)
+    runs = [tmp_path / "a", tmp_path / "b"]
+    manifests = [hn.run_experiment(cfg, 7, out, config_path=tiny_config) for out in runs]
+    files = [sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for out in runs]
+    assert files[0] == files[1]
+    assert Path("eval_reports.json") in files[0]
+    for rel in files[0]:
+        if rel.name != "manifest.json":
+            assert (runs[0] / rel).read_bytes() == (runs[1] / rel).read_bytes(), rel
+    for manifest in manifests:
+        assert set(manifest.wall_seconds) == {"baseline", "gold", "gradient_ascent", "lora"}
+        assert all(seconds > 0.0 for seconds in manifest.wall_seconds.values())
+    reports = json.loads((runs[0] / "eval_reports.json").read_text(encoding="utf-8"))
+    assert all("wall_time_seconds" not in report for report in reports.values())
+
+
 def test_run_experiment_artifacts(tiny_config, tmp_path):
     cfg = hn.load_config(tiny_config)
     out = tmp_path / "run"
@@ -566,6 +584,8 @@ MALFORMED_REPORTS = {
     "unknown-field": json.dumps({**hn.report_to_dict(report()), "volume": 11}),
     "string-value": json.dumps({**hn.report_to_dict(report()), "ra": "0.9"}),
     "bool-value": json.dumps({**hn.report_to_dict(report()), "mia_auc": True}),
+    # Reports once carried their model's wall seconds; the manifest holds them now.
+    "stale-wall-time": json.dumps({**hn.report_to_dict(report()), "wall_time_seconds": 1.5}),
 }
 
 
