@@ -34,10 +34,9 @@ the constant operands of a CG solve are transposed once, not per iteration;
 the reuse keys on array identity, so code that rebinds ``.data`` (as the
 optimisers do) gets a fresh copy, and nothing may write into a graph's
 arrays in place. A ``StepPlan`` does the same for a minibatch step: it tapes
-the step once per batch shape, then replays it, rerunning the recorded
-forwards on each new batch and the backward down a fixed plan (the trace-once
-idiom of Frostig, Johnson & Leary 2018, "Compiling machine learning programs
-via high-level tracing").
+the step once per batch shape and replays its forwards and fixed backward on
+each new batch (trace once, as in Frostig, Johnson & Leary 2018, "Compiling
+machine learning programs via high-level tracing").
 
 Two fused primitives replace common chains with one node each and the same
 arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
@@ -625,6 +624,8 @@ class StepPlan:
 
     def forward(self, *arrays) -> tuple[Tensor, ...]:
         global _recording
+        if _recording is not None:
+            raise RuntimeError("StepPlan: a step cannot run another step")
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
         key = tuple(a.shape for a in arrays)
         if key in self.traces:

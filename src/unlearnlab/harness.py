@@ -505,8 +505,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     bundle = stage("generate", _generate)
 
     def _baseline():
-        model, wall, units = train_baseline(cfg, bundle, master_seed)
-        manifest.wall_seconds["baseline"] = wall
+        model, manifest.wall_seconds["baseline"], units = train_baseline(cfg, bundle, master_seed)
         manifest.checkpoints["baseline"] = str(save_model(model, out, "baseline"))
         return model, units
 

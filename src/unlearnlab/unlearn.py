@@ -281,9 +281,9 @@ def _plogp_terms(p: np.ndarray, head: str) -> np.ndarray:
 
 
 def _teacher_operands(p: np.ndarray, plogp: np.ndarray, head: str) -> list[np.ndarray]:
-    """The constants of KL(teacher || p's student) given plogp =
-    _plogp_terms(p, head): the mean p log p as a 0-d array, p, and for a
-    sigmoid head 1 - p. SCRUB indexes p and plogp per step."""
+    """The constant operands of KL(teacher || student) for teacher
+    probabilities p and plogp = _plogp_terms(p, head): the mean p log p as a
+    0-d array, p, and for a sigmoid head 1 - p. SCRUB indexes p, plogp."""
     if head == "softmax":
         return [np.asarray(float(np.sum(plogp)) / p.shape[0]), p]
     return [np.asarray(float(np.mean(plogp))), p, 1.0 - p]

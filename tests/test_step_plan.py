@@ -221,3 +221,13 @@ def test_step_plan_rebinds_its_inputs_and_reads_parameters_afresh():
     with pytest.raises(ad.ShapeError):
         vector = ad.StepPlan(lambda x: (ad.mul(x, w),), [w])
         vector.grad(vector.forward(np.ones(2))[0])
+
+
+def test_a_step_cannot_run_another():
+    outer = ad.StepPlan(lambda x: ad.StepPlan(lambda y: (y,), []).forward(x.data), [])
+    with pytest.raises(RuntimeError, match="cannot run another step"):
+        outer.forward(np.ones(2))
+    # The failed tape leaves nothing recording.
+    plan = ad.StepPlan(lambda x: (ad.sum_all(x),), [])
+    assert plan.forward(np.ones(3))[0].item() == 3.0
+    assert not outer.traces and ad._recording is None
