@@ -7,6 +7,9 @@ Prints one `config@seed ok|MISMATCH` line per run and exits 1 on any mismatch.
 Then prints one sha256 over every file the runs wrote except manifest.json,
 which alone holds wall-clock times and paths: two checkouts that write the
 same bytes print the same line, so their outputs compare with `diff`.
+Last, it runs perfbench's `influence` ops at workload seeds 1 and 2 and prints
+one sha256 over every (op key, verified result): the influence values, CG
+iterations and convergence flags, to the last bit.
 
     python3 scripts/check_reference.py
 """
@@ -51,7 +54,17 @@ def main() -> int:
                 digest.update(str(path.relative_to(tmp)).encode() + b"\0")
                 digest.update(path.read_bytes())
         print(f"all files but manifest.json: sha256 {digest.hexdigest()}")
+        print(f"influence at seeds 1-2: sha256 {influence_digest(workloads, Path(tmp))}")
     return 1 if failed else 0
+
+
+def influence_digest(workloads, work: Path) -> str:
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        ctx = workloads.Context(root=ROOT, work=work / f"influence-{seed}", seed=seed)
+        for op in workloads.setup_influence(ctx):
+            digest.update(repr((op.key, op.verify(op.run()))).encode())
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ gradient of a constant operand, such as a model's inputs, is never formed:
 masks, and ``_backprop``, the one backward loop, runs the vjps in that order.
 Neither the forward pass, nor the taped first gradient, nor its backward plan
 depends on the vector, so ``hvp_operator`` builds all three once per operator,
-and each product it applies is a single first-order pass down the fixed plan.
+and each product it applies is a single first-order pass down the fixed plan,
+seeded with the vector itself.
 A CG solve builds one operator and applies it once per iteration. The array
 vjps of ``matmul`` and ``linear`` keep the transposed copy of an operand they
 make and reuse it while that operand's ``.data`` is the same array object, so
@@ -662,14 +663,15 @@ def hvp_operator(
     ``loss_fn`` must build a fresh scalar graph from the given parameter
     tensor. The forward pass, the taped first gradient g and the backward
     plan of g towards ``params`` are built once, here. Each call of the
-    returned function builds <g, v> with v held constant, puts its two nodes
-    in front of that fixed plan and runs one first-order pass back to
-    ``params``, so a CG solve traces and masks the graph once, not per
-    product. The nodes of g's graph keep the transposed copies their array
-    vjps make (see ``matmul``), so the constant operands are transposed once
-    per operator too. The products are exact up to floating point, not
-    finite differences, and bitwise equal to building everything afresh for
-    each v.
+    returned function differentiates <g, v> with v held constant: the
+    gradient of that inner product with respect to g is v itself, so v seeds
+    one first-order pass down the fixed plan back to ``params``, and a CG
+    solve traces and masks the graph once, not per product. A non-finite v
+    raises NonFiniteError. The nodes of g's graph keep the transposed copies
+    their array vjps make (see ``matmul``), so the constant operands are
+    transposed once per operator too. The products are exact up to floating
+    point, not finite differences, and bitwise equal to building everything
+    afresh for each v.
     """
     loss = loss_fn(params)
     if loss.data.ndim != 0:
@@ -683,10 +685,8 @@ def hvp_operator(
             raise ShapeError(
                 f"hvp_operator: v shape {v_arr.shape} vs params {params.shape}"
             )
-        product = mul(g, Tensor(v_arr))
-        inner = sum_all(product)
-        plan = [(inner, (True,)), (product, (True, False)), *g_plan]
-        (hv,) = _backprop(plan, {inner: np.ones(())}, [params], create_graph=False)
+        _finite_or_raise(v_arr, "leaf")
+        (hv,) = _backprop(g_plan, {g: v_arr}, [params], create_graph=False)
         return hv
 
     return apply

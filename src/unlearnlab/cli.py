@@ -49,7 +49,7 @@ def _checkpoint_for(bundle: bg.DataBundle, path,
         raise hn.UserError(f"{role} not found: {path}")
     try:
         model = md.load_checkpoint(path)
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # OSError: the path is a directory, say
         raise hn.UserError(str(e)) from e
     width = bundle.d_s + bundle.d_b
     if model.layer_sizes[0] != width or model.n_classes != bundle.n_classes:
@@ -99,11 +99,13 @@ def cmd_unlearn(args) -> int:
     if ul.POST_HOC_STRATEGIES[args.strategy].needs_teacher:
         gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold
                 else hn.train_gold(cfg, bundle, args.seed).model)
-    result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)
+    seconds = {}
+    with hn.clock(seconds, "unlearn"):
+        result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-{args.strategy}")
     path = hn.save_model(result.model, out, args.strategy)
     note = " (truncated by divergence guard)" if result.truncated else ""
-    print(f"{args.strategy} checkpoint: {path} ({result.wall_time_seconds:.2f}s, "
+    print(f"{args.strategy} checkpoint: {path} ({seconds['unlearn']:.2f}s, "
           f"{result.cost_units:.0f} units){note}")
     return 0
 

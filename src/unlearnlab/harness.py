@@ -11,6 +11,7 @@ therefore produces byte-identical tables.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -120,8 +121,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        cp.read(path)
-    except configparser.Error as e:
+        cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not cp.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
@@ -229,14 +230,27 @@ def _train_config(cfg: ExperimentConfig, seed: int) -> md.TrainConfig:
                           learning_rate=cfg.train_learning_rate, seed=seed)
 
 
+@contextlib.contextmanager
+def clock(into: dict, key: str):
+    """Write the wall seconds of the with-block into into[key], also when it
+    raises. The library reads the clock here and nowhere else."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        into[key] = time.perf_counter() - t0
+
+
 def train_baseline(cfg: ExperimentConfig, bundle: bg.DataBundle,
                    master_seed: int) -> tuple:
     """Biased reference model M_0; returns (model, wall_seconds, cost_units)."""
     X, y, _, _ = bg.stack(bundle.train)
     model = md.init_model(model_arch(cfg, bundle), cfg.head,
                           master_seed + SEED_BASELINE)
-    model, wall = md.train(model, (X, y), _train_config(cfg, master_seed + SEED_BASELINE))
-    return model, wall, float(cfg.train_epochs * len(bundle.train))
+    seconds = {}
+    with clock(seconds, "train"):
+        md.train(model, (X, y), _train_config(cfg, master_seed + SEED_BASELINE))
+    return model, seconds["train"], float(cfg.train_epochs * len(bundle.train))
 
 
 def train_gold(cfg: ExperimentConfig, bundle: bg.DataBundle,
@@ -423,8 +437,8 @@ def load_report(path) -> fe.EvalReport:
     if not path.exists():
         raise UserError(f"report file not found: {path}")
     try:
-        return report_from_dict(json.loads(path.read_text()))
-    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError included
+        return report_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError) as e:  # a directory; JSONDecodeError, UnicodeDecodeError
         raise UserError(f"report {path}: {e}") from e
 
 
@@ -465,7 +479,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     teacher) and works on its own copy, so sibling strategies never see each
     other's updates. A failing strategy becomes a "failed" table row; a
     failing stage aborts the run but leaves the manifest and any partial
-    artifacts behind.
+    artifacts behind. The manifest takes every stage's, training run's and
+    strategy's wall seconds from clock, failed ones included.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -483,101 +498,71 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         out_dir=str(out),
     )
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
+    @contextlib.contextmanager
+    def stage(name):
         try:
-            result = fn()
+            with clock(manifest.stage_seconds, name):
+                yield
         except Exception:
             manifest.failed_stage = name
-            manifest.stage_seconds[name] = time.perf_counter() - t0
             manifest.write(manifest_path)
             raise
-        manifest.stage_seconds[name] = time.perf_counter() - t0
-        return result
 
-    def _generate():
+    with stage("generate"):
         bundle = build_bundle(cfg, master_seed)
-        bundle_path = out / "bundle.csv"
-        bg.save_bundle(bundle, bundle_path)
-        manifest.reports["bundle"] = str(bundle_path)
-        return bundle
+        bg.save_bundle(bundle, out / "bundle.csv")
+        manifest.reports["bundle"] = str(out / "bundle.csv")
 
-    bundle = stage("generate", _generate)
+    with stage("baseline"):
+        baseline, manifest.wall_seconds["baseline"], baseline_units = train_baseline(
+            cfg, bundle, master_seed)
+        manifest.checkpoints["baseline"] = str(save_model(baseline, out, "baseline"))
 
-    def _baseline():
-        model, manifest.wall_seconds["baseline"], units = train_baseline(cfg, bundle, master_seed)
-        manifest.checkpoints["baseline"] = str(save_model(model, out, "baseline"))
-        return model, units
+    with stage("gold"):
+        with clock(manifest.wall_seconds, "gold"):
+            gold = train_gold(cfg, bundle, master_seed)
+        manifest.checkpoints["gold"] = str(save_model(gold.model, out, "gold"))
 
-    baseline, baseline_units = stage("baseline", _baseline)
-
-    def _gold():
-        result = train_gold(cfg, bundle, master_seed)
-        manifest.wall_seconds["gold"] = result.wall_time_seconds
-        manifest.checkpoints["gold"] = str(save_model(result.model, out, "gold"))
-        return result
-
-    gold_result = stage("gold", _gold)
-
-    def _strategies():
+    with stage("strategies"):
         results = {}
         for name in cfg.strategies:
             try:
-                result = run_strategy(name, cfg, bundle, baseline, gold_result.model,
-                                      master_seed)
+                with clock(manifest.wall_seconds, name):
+                    result = run_strategy(name, cfg, bundle, baseline, gold.model, master_seed)
             except Exception as e:
                 manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
                 continue
-            manifest.wall_seconds[name] = result.wall_time_seconds
             manifest.checkpoints[name] = str(save_model(result.model, out, name))
             results[name] = result
-        return results
 
-    strategy_results = stage("strategies", _strategies)
-
-    def _evaluate():
-        base_report = fe.evaluate_model(baseline, bundle, time_units=baseline_units)
-        reports = {"baseline": base_report}
-        reports["gold"] = fe.evaluate_model(gold_result.model, bundle,
-                                            time_units=gold_result.cost_units,
-                                            baseline=base_report)
-        for name, result in strategy_results.items():
+    with stage("evaluate"):
+        reports = {"baseline": fe.evaluate_model(baseline, bundle, time_units=baseline_units)}
+        for name, result in {"gold": gold, **results}.items():
             reports[name] = fe.evaluate_model(result.model, bundle,
                                               time_units=result.cost_units,
-                                              baseline=base_report)
+                                              baseline=reports["baseline"])
         eval_path = write_json(out / "eval_reports.json",
                                {name: report_to_dict(r) for name, r in reports.items()})
         manifest.reports["eval_json"] = str(eval_path)
-        return reports
 
-    reports = stage("evaluate", _evaluate)
-
-    def _cobum():
+    with stage("cobum"):
         scores = {name: cb.score_reports(reports[name], reports["gold"],
                                          reports["baseline"], cfg.cobum_params)
-                  for name in strategy_results}
+                  for name in results}
         cobum_path = write_json(out / "cobum.json",
                                 {name: dataclasses.asdict(s) for name, s in scores.items()})
         manifest.reports["cobum_json"] = str(cobum_path)
-        return scores
 
-    scores = stage("cobum", _cobum)
-
-    def _emit():
-        rows = [TableRow("Baseline", reports["baseline"]),
-                TableRow("Hard", reports["gold"])]
+    with stage("emit"):
+        rows = [TableRow("Baseline", reports["baseline"]), TableRow("Hard", reports["gold"])]
         for name in cfg.strategies:
             label = ul.POST_HOC_STRATEGIES[name].label
             if name in manifest.failed_strategies:
                 rows.append(TableRow(label, error=manifest.failed_strategies[name]))
             else:
-                rows.append(TableRow(label, reports[name],
-                                     cobum_score=scores[name].composite))
+                rows.append(TableRow(label, reports[name], cobum_score=scores[name].composite))
         for fmt, suffix in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
-            target = emit_table(rows, fmt, out / f"results.{suffix}")
-            manifest.reports[fmt] = str(target)
-        return rows
+            manifest.reports[fmt] = str(emit_table(rows, fmt, out / f"results.{suffix}"))
 
-    stage("emit", _emit)
     manifest.write(manifest_path)
     return manifest

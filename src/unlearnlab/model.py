@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,8 +239,8 @@ class Adam:
 
 def train(
     model: ModelParams, data: tuple[np.ndarray, np.ndarray], config: TrainConfig
-) -> tuple[ModelParams, float]:
-    """Minibatch Adam training in place; returns the model and wall seconds.
+) -> ModelParams:
+    """Minibatch Adam training in place; returns the model.
 
     The epoch shuffle stream is seeded from (config.seed, epoch), so the whole
     trajectory is a deterministic function of the config and initial weights.
@@ -252,7 +251,6 @@ def train(
     if config.epochs < 0 or config.batch_size < 1:
         raise ValueError("train: epochs must be >= 0 and batch_size >= 1")
     y = _check_labels(model, y)
-    t0 = time.perf_counter()
     params = trainable_params(model)
     opt = Adam(params, config.learning_rate)
     targets = loss_targets(y, model.head, model.layer_sizes[-1])
@@ -265,7 +263,7 @@ def train(
             idx = order[start : start + config.batch_size]
             (batch_loss,) = plan.forward(X[idx], targets[idx])
             opt.step([g.data for g in plan.grad(batch_loss)])
-    return model, time.perf_counter() - t0
+    return model
 
 
 # ---------------------------------------------------------------------------

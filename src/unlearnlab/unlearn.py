@@ -7,15 +7,16 @@ fresh parameter set with a per-step loss trace. Compute is accounted in
 deterministic cost units: a backward pass over a batch of n samples costs n,
 a Hessian-vector product costs 2n (it is a double backward). Reports built
 from these units are identical across reruns, unlike wall-clock times, which
-are recorded separately. Cost units count work in the algorithm's terms and
-do not measure time: a CG solve builds its Hessian-vector operator once and
-then runs one first-order pass per product, yet each product still counts 2n,
-so FMD's cost stays n_c * (1 + 2 * iterations).
+the harness records around each strategy call and writes only to the run
+manifest; nothing here reads the clock. Cost units count work in the
+algorithm's terms and do not measure time: a CG solve builds its
+Hessian-vector operator once and then runs one first-order pass per product,
+yet each product still counts 2n, so FMD's cost stays n_c * (1 + 2 *
+iterations).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,7 +67,6 @@ class StrategyConfig:
 @dataclass
 class UnlearnResult:
     model: md.ModelParams
-    wall_time_seconds: float
     step_log: list[dict]
     cost_units: float = 0.0
     truncated: bool = False
@@ -118,16 +118,14 @@ def hard_unlearn(
         raise ValueError("hard_unlearn: empty retain set")
     X, y, _, _ = bg.stack(retain)
     model = md.init_model(layer_sizes, head, train_config.seed)
-    _, seconds = md.train(model, (X, y), train_config)
+    md.train(model, (X, y), train_config)
     log = [{
         "step": 0,
         "forget_loss": _mean_loss(model, bg.forget_samples(bundle)),
         "retain_loss": _mean_loss(model, retain),
     }]
     return UnlearnResult(
-        model=model, wall_time_seconds=seconds, step_log=log,
-        cost_units=float(train_config.epochs * len(retain)),
-    )
+        model=model, step_log=log, cost_units=float(train_config.epochs * len(retain)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +163,6 @@ def gradient_ascent(
         return ad.sub(loss_f, ad.scale(loss_r, cfg.alpha)), loss_f, loss_r
 
     plan = ad.StepPlan(build, params)
-    t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
     truncated = False
@@ -191,10 +188,7 @@ def gradient_ascent(
             "forget_loss": float(loss_f.data),
             "retain_loss": float(loss_r.data),
         })
-    return UnlearnResult(
-        model=work, wall_time_seconds=time.perf_counter() - t0, step_log=log,
-        cost_units=cost, truncated=truncated,
-    )
+    return UnlearnResult(model=work, step_log=log, cost_units=cost, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +235,6 @@ def lora_unlearn(
         return ad.sub(loss_r, ad.scale(loss_f, cfg.beta)), loss_r, loss_f
 
     plan = ad.StepPlan(build, params)
-    t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
@@ -260,32 +253,24 @@ def lora_unlearn(
             "retain_loss": float(loss_r.data),
             "objective": float(objective.data),
         })
-    return UnlearnResult(
-        model=work, wall_time_seconds=time.perf_counter() - t0, step_log=log,
-        cost_units=cost, extra={"adapter_layer": layer_idx, "rank": cfg.rank},
-    )
+    return UnlearnResult(model=work, step_log=log, cost_units=cost,
+                         extra={"adapter_layer": layer_idx, "rank": cfg.rank})
 
 
 # ---------------------------------------------------------------------------
 # Teacher-student distillation (SCRUB-style).
 # ---------------------------------------------------------------------------
 
-def _plogp_terms(p: np.ndarray, head: str) -> np.ndarray:
-    """Elementwise p log p of teacher probabilities (plus (1-p) log(1-p) for
-    a sigmoid head): the student-independent part of KL(teacher || student)."""
-    if head == "softmax":
-        safe = np.clip(p, 1e-300, None)
-        return np.where(p > 0.0, p * np.log(safe), 0.0)
-    safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    return p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
-
-
-def _teacher_operands(p: np.ndarray, plogp: np.ndarray, head: str) -> list[np.ndarray]:
+def _teacher_operands(p: np.ndarray, head: str) -> list[np.ndarray]:
     """The constant operands of KL(teacher || student) for teacher
-    probabilities p and plogp = _plogp_terms(p, head): the mean p log p as a
-    0-d array, p, and for a sigmoid head 1 - p. SCRUB indexes p, plogp."""
+    probabilities p: the mean of p log p (plus (1-p) log(1-p) for a sigmoid
+    head), the student-independent part, as a 0-d array; p; and for a
+    sigmoid head 1 - p."""
     if head == "softmax":
+        plogp = np.where(p > 0.0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
         return [np.asarray(float(np.sum(plogp)) / p.shape[0]), p]
+    safe = np.clip(p, 1e-300, 1.0 - 1e-16)
+    plogp = p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
     return [np.asarray(float(np.mean(plogp))), p, 1.0 - p]
 
 
@@ -296,12 +281,6 @@ def _teacher_kl(z: ad.Tensor, head: str, plogp: ad.Tensor, p: ad.Tensor, q=None)
         return ad.add(ad.softmax_xent(z, p), plogp)
     cross = ad.mean_all(ad.add(ad.mul(p, ad.softplus(ad.neg(z))), ad.mul(q, ad.softplus(z))))
     return ad.add(cross, plogp)
-
-
-def _kl_to_teacher(p: np.ndarray, plogp: np.ndarray, student_logits: ad.Tensor,
-                   head: str) -> ad.Tensor:
-    """_teacher_kl on constant leaves."""
-    return _teacher_kl(student_logits, head, *map(ad.tensor, _teacher_operands(p, plogp, head)))
 
 
 def scrub_unlearn(
@@ -330,9 +309,8 @@ def scrub_unlearn(
     Xr, yr, _, _ = bg.stack(retain)
     Xf, yf, _, _ = bg.stack(forget)
     teacher_r = md.predict_proba(teacher, Xr)
-    teacher_f = md.predict_proba(teacher, Xf) if len(forget) else None
-    plogp_r = _plogp_terms(teacher_r, baseline.head)
-    plogp_f = _plogp_terms(teacher_f, baseline.head) if len(forget) else None
+    forget_ops = (_teacher_operands(md.predict_proba(teacher, Xf), baseline.head)
+                  if len(forget) else None)
     batch = min(len(retain), len(forget)) if len(forget) else min(64, len(retain))
     rng = np.random.default_rng(cfg.seed)
 
@@ -348,18 +326,18 @@ def scrub_unlearn(
         keep_terms = ad.add(retain_kl, task)
         if not len(forget):
             return retain_kl, task, keep_terms
-        forget_kl = _kl_to_teacher(teacher_f, plogp_f, md.forward(student, Xf), student.head)
+        forget_kl = _teacher_kl(md.forward(student, Xf), student.head,
+                                *map(ad.tensor, forget_ops))
         return (retain_kl, task, keep_terms, forget_kl, ad.sub(keep_terms, forget_kl),
                 ad.addc(keep_terms, -FORGET_KL_CLIP))
 
     plan = ad.StepPlan(build, params)
-    t0 = time.perf_counter()
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
         idx = rng.choice(len(retain), size=batch, replace=False)
         retain_kl, task, total, *forget_out = plan.forward(
-            Xr[idx], Tr[idx], *_teacher_operands(teacher_r[idx], plogp_r[idx], student.head))
+            Xr[idx], Tr[idx], *_teacher_operands(teacher_r[idx], student.head))
         cost += batch
 
         forget_kl_val = forget_used = 0.0
@@ -380,10 +358,7 @@ def scrub_unlearn(
             "forget_used": forget_used,
             "total": float(total.data),
         })
-    return UnlearnResult(
-        model=student, wall_time_seconds=time.perf_counter() - t0, step_log=log,
-        cost_units=cost,
-    )
+    return UnlearnResult(model=student, step_log=log, cost_units=cost)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +479,6 @@ def fmd_unlearn(
     work = md.copy_model(model)
     Xc, yc, _, _ = bg.stack(counterfactual)
     n_c = len(counterfactual)
-    t0 = time.perf_counter()
 
     theta0, fn = loss_closure(work, counterfactual, cfg.hessian_scope)
     loss_before = float(fn(ad.tensor(theta0)).data)
@@ -539,8 +513,7 @@ def fmd_unlearn(
             log.append({"step": k + 1, "finetune_loss": float(objective.data)})
 
     return UnlearnResult(
-        model=work, wall_time_seconds=time.perf_counter() - t0, step_log=log,
-        cost_units=cost,
+        model=work, step_log=log, cost_units=cost,
         extra={
             "cg_converged": info.converged, "cg_iterations": info.iterations,
             "fallback": info.fallback, "step_norm": info.step_norm,

@@ -332,7 +332,8 @@ def test_first_order_grad_matches_taped_on_scrub_kl(head, sizes):
     student = md.init_model(sizes, head, 47)
     p = md.predict_proba(teacher, X)
     assert_modes_agree(
-        lambda: ul._kl_to_teacher(p, ul._plogp_terms(p, head), md.forward(student, X), head),
+        lambda: ul._teacher_kl(md.forward(student, X), head,
+                               *map(ad.tensor, ul._teacher_operands(p, head))),
         md.trainable_params(student),
     )
 
@@ -648,6 +649,8 @@ def test_hvp_operator_shape_checks():
     hvp = ad.hvp_operator(quadratic_loss(np.eye(3)), ad.tensor(np.ones(3)))
     with pytest.raises(ad.ShapeError):
         hvp(np.ones(4))
+    with pytest.raises(ad.NonFiniteError):
+        hvp(np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ad.ShapeError):
         ad.hvp_operator(lambda t: ad.mul(t, t), ad.tensor(np.ones(3)))
 

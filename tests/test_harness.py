@@ -464,11 +464,27 @@ def test_failed_strategy_marks_row_and_keeps_siblings(tmp_path, tiny_config):
     assert manifest.failed_stage is None
     assert "lora" in manifest.failed_strategies
     assert "rank" in manifest.failed_strategies["lora"]
+    assert manifest.wall_seconds["lora"] >= 0.0
     lines = (out / "results.csv").read_text(encoding="utf-8").splitlines()
     lora_line = next(line for line in lines if line.startswith("LoRA,"))
     assert lora_line.split(",")[1] == "failed"
     ga_line = next(line for line in lines if line.startswith("GA,"))
     assert ga_line.split(",")[1] != "failed"
+
+
+def test_failed_stage_writes_manifest_and_reraises(tmp_path, tiny_config, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("evaluator down")
+
+    monkeypatch.setattr(fe, "evaluate_model", broken)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="evaluator down"):
+        hn.run_experiment(hn.load_config(tiny_config), 7, out, config_path=tiny_config)
+    payload = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["failed_stage"] == "evaluate"
+    assert list(payload["stage_seconds"]) == [
+        "generate", "baseline", "gold", "strategies", "evaluate"]
+    assert all(seconds >= 0.0 for seconds in payload["stage_seconds"].values())
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +516,15 @@ def test_cli_missing_config_names_path(capsys, tmp_path):
                      "--out", str(tmp_path / "o")])
     assert code == 2
     assert "absent.cfg" in capsys.readouterr().err
+
+
+def test_cli_config_not_utf8_is_operator_error(capsys, tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"[scenario]\nkind = patch\n# caf\xe9\n")
+    code = cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "latin.cfg" in err and "internal error" not in err
 
 
 def test_cli_generate_writes_bundle(tiny_config, tmp_path, capsys):
@@ -549,6 +574,11 @@ def test_cli_corrupt_checkpoint_is_operator_error(tiny_config, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert "torn.ckpt" in err and "internal error" not in err
+    folder = tmp_path / "folder.ckpt"
+    folder.mkdir()
+    assert cli.main(_stage_args(stage, tiny_config, folder, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "folder.ckpt" in err and "internal error" not in err
 
 
 MALFORMED_HEADERS = {
@@ -586,6 +616,7 @@ MALFORMED_REPORTS = {
     "bool-value": json.dumps({**hn.report_to_dict(report()), "mia_auc": True}),
     # Reports once carried their model's wall seconds; the manifest holds them now.
     "stale-wall-time": json.dumps({**hn.report_to_dict(report()), "wall_time_seconds": 1.5}),
+    "directory": None,  # odd.json is a directory
 }
 
 
@@ -593,7 +624,10 @@ MALFORMED_REPORTS = {
 @pytest.mark.parametrize("text", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
 def test_cli_malformed_report_is_operator_error(tiny_config, tmp_path, capsys, stage, text):
     bad = tmp_path / "odd.json"
-    bad.write_text(text)
+    if text is None:
+        bad.mkdir()
+    else:
+        bad.write_text(text)
     good = tmp_path / "good.json"
     good.write_text(json.dumps(hn.report_to_dict(report())))
     if stage == "eval":

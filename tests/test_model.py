@@ -113,7 +113,8 @@ def test_zero_learning_rate_leaves_params_unchanged():
     m = md.init_model([4, 6, 3], "softmax", seed=1)
     before = model_bytes(m)
     X, y = make_blobs(30, [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0)], seed=2)
-    md.train(m, (X, y), md.TrainConfig(epochs=3, batch_size=16, learning_rate=0.0, seed=3))
+    config = md.TrainConfig(epochs=3, batch_size=16, learning_rate=0.0, seed=3)
+    assert md.train(m, (X, y), config) is m
     assert model_bytes(m) == before
 
 def test_training_deterministic_for_fixed_seed():

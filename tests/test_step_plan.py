@@ -92,7 +92,7 @@ def test_replayed_training_is_bitwise_taped_training(monkeypatch, head, sizes, n
     config = md.TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, seed=3)
 
     def fn():
-        return md.train(md.init_model(sizes, head, 81), (X, y), config)[0]
+        return md.train(md.init_model(sizes, head, 81), (X, y), config)
 
     outcomes = run_both(monkeypatch, fn)
     assert_bitwise_equal(outcomes, lambda model: model)
@@ -104,7 +104,7 @@ def test_replayed_training_matches_a_plain_tape_loop():
     """The loop every step ran before: md.loss, ad.grad, Adam."""
     X, y = labelled(50, 6, 3, 82)
     config = md.TrainConfig(epochs=2, batch_size=16, learning_rate=1e-2, seed=4)
-    trained = md.train(md.init_model([6, 8, 3], "softmax", 83), (X, y), config)[0]
+    trained = md.train(md.init_model([6, 8, 3], "softmax", 83), (X, y), config)
     model = md.init_model([6, 8, 3], "softmax", 83)
     params = md.trainable_params(model)
     opt = md.Adam(params, config.learning_rate)
@@ -128,7 +128,7 @@ def trained_pair():
     X, y, _, _ = bg.stack(bundle.train)
     sizes = [X.shape[1], 12, 2]
     config = md.TrainConfig(epochs=6, batch_size=32, learning_rate=5e-3, seed=5)
-    baseline = md.train(md.init_model(sizes, "softmax", 85), (X, y), config)[0]
+    baseline = md.train(md.init_model(sizes, "softmax", 85), (X, y), config)
     teacher = ul.hard_unlearn(bundle, config, sizes).model
     return bundle, baseline, teacher
 
@@ -154,7 +154,7 @@ def test_replayed_scrub_is_bitwise_taped_on_both_clip_branches(monkeypatch, head
     X, y, _, _ = bg.stack(bundle.train)
     sizes = [X.shape[1], 12, 2 if head == "softmax" else 1]
     config = md.TrainConfig(epochs=6, batch_size=32, learning_rate=5e-3, seed=8)
-    baseline = md.train(md.init_model(sizes, head, 87), (X, y), config)[0]
+    baseline = md.train(md.init_model(sizes, head, 87), (X, y), config)
     teacher = ul.hard_unlearn(bundle, config, sizes, head=head).model
     cfg = ul.StrategyConfig(eta=0.2, steps=14, seed=9)
     outcomes = run_both(monkeypatch, lambda: ul.scrub_unlearn(baseline, teacher, bundle, cfg))

@@ -568,7 +568,6 @@ def test_strategies_leave_baseline_untouched(name, patch_setup):
     assert model_bytes(baseline) == before
     assert model_bytes(teacher) == teacher_before
     assert result.model is not baseline
-    assert result.wall_time_seconds > 0.0
     assert result.cost_units > 0.0
 
 
