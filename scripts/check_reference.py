@@ -9,7 +9,8 @@ which alone holds wall-clock times and paths: two checkouts that write the
 same bytes print the same line, so their outputs compare with `diff`.
 Last, it runs perfbench's `influence` ops at workload seeds 1 and 2 and prints
 one sha256 over every (op key, verified result): the influence values, CG
-iterations and convergence flags, to the last bit.
+iterations and convergence flags, to the last bit. Last of all it prints the
+line count of the Python modules in src/unlearnlab.
 
     python3 scripts/check_reference.py
 """
@@ -55,6 +56,9 @@ def main() -> int:
                 digest.update(path.read_bytes())
         print(f"all files but manifest.json: sha256 {digest.hexdigest()}")
         print(f"influence at seeds 1-2: sha256 {influence_digest(workloads, Path(tmp))}")
+    package = ROOT / "src" / "unlearnlab"
+    lines = sum(len(p.read_bytes().splitlines()) for p in package.glob("*.py"))
+    print(f"src/unlearnlab: {lines} lines")
     return 1 if failed else 0
 
 

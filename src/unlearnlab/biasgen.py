@@ -426,7 +426,8 @@ SCENARIOS = {
 # Columnar serialization.
 # ---------------------------------------------------------------------------
 
-def _header(d_s: int, d_b: int) -> list[str]:
+def bundle_header(d_s: int, d_b: int) -> list[str]:
+    """The bundle.csv column names: the features, then the per-row fields."""
     return ([f"s_{i}" for i in range(d_s)] + [f"b_{i}" for i in range(d_b)]
             + ["label", "group", "bias_flag", "split", "forget"])
 
@@ -434,7 +435,7 @@ def _header(d_s: int, d_b: int) -> list[str]:
 def save_bundle(bundle: DataBundle, path) -> None:
     """Write the columnar sample table and a JSON sidecar with generator identity."""
     path = Path(path)
-    lines = [",".join(_header(bundle.d_s, bundle.d_b))]
+    lines = [",".join(bundle_header(bundle.d_s, bundle.d_b))]
     for split_name in SPLITS:
         part = bundle.split(split_name)
         forget = np.zeros(len(part), dtype=np.int64)
@@ -483,7 +484,7 @@ def load_bundle(path) -> DataBundle:
         lines = path.read_text(encoding="utf-8").strip().split("\n")
     except UnicodeDecodeError as e:
         raise ValueError(f"bundle {path}: {e}") from e
-    if lines[0].split(",") != _header(d_s, d_b):
+    if lines[0].split(",") != bundle_header(d_s, d_b):
         raise ValueError(f"bundle {path}: header does not match sidecar dimensions")
     d = d_s + d_b
     table = [line.split(",") for line in lines[1:]]

@@ -31,8 +31,19 @@ def _out_dir(args, default_name: str) -> Path:
         out = Path(args.out)
     else:
         out = Path(os.environ.get("UNLEARNLAB_OUT_ROOT", "runs")) / default_name
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file where a directory should be, say
+        raise hn.UserError(f"output directory {out}: {e}") from e
     return out
+
+
+def _seed(text: str) -> int:
+    """The --seed type: every derived seed (master seed plus a role's offset)
+    must be non-negative, so the master seed must be too."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _config(args) -> hn.ExperimentConfig:
@@ -156,8 +167,7 @@ def cmd_saliency(args) -> int:
             raise hn.UserError("--limit must be >= 1")
         samples = samples[: args.limit]
     path = _out_dir(args, f"{cfg.name}-seed{args.seed}-saliency") / "saliency.csv"
-    cols = ([f"s_{i}" for i in range(bundle.d_s)]
-            + [f"b_{i}" for i in range(bundle.d_b)])
+    cols = bg.bundle_header(bundle.d_s, bundle.d_b)[: bundle.d_s + bundle.d_b]
     lines = [",".join(["index", "label", "group"] + cols)]
     for i, smp in enumerate(samples):
         lines.append(",".join([str(i), str(smp.label), str(smp.group)]
@@ -177,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario config file (.cfg)")
-        p.add_argument("--seed", type=int, default=1, help="master seed")
+        p.add_argument("--seed", type=_seed, default=1,
+                       help="master seed, >= 0 (earlier versions also ran -1000 to -1)")
         p.add_argument("--out", help="output directory "
                        "(default: $UNLEARNLAB_OUT_ROOT or ./runs, per-command subdir)")
         p.set_defaults(func=fn)

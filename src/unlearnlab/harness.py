@@ -50,9 +50,6 @@ TABLE_COLUMNS = (
     "Co-BUM ↑",
 )
 
-# Columns where smaller is better; the rest are larger-is-better.
-_MINIMIZED = {"FA ↓", "MIA ↓", "Time ↓"}
-
 
 class UserError(Exception):
     """Operator mistake (bad flag value, missing file); exit code 2."""
@@ -120,9 +117,10 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        cp.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as e:
+    try:  # ConfigParser.read would skip a path it cannot open, a directory say
+        with path.open(encoding="utf-8") as f:
+            cp.read_file(f, source=str(path))
+    except (OSError, configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not cp.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
@@ -303,9 +301,9 @@ class TableRow:
     cobum_score: float | None = None
     error: str | None = None
 
-    @property
-    def is_strategy(self) -> bool:
-        return self.method not in ("Baseline", "Hard")
+
+# Cells that hold no number: an undefined value, a failed row.
+_TEXT_CELLS = ("--", "failed")
 
 
 def _fmt_drop(value) -> str:
@@ -317,41 +315,29 @@ def _fmt_drop(value) -> str:
     return f"{value:.2f}"
 
 
-def _row_cells(row: TableRow) -> dict:
+def _row_cells(row: TableRow) -> list:
+    """The cells after Method, in TABLE_COLUMNS order."""
     if row.error is not None:
-        return {col: "failed" for col in TABLE_COLUMNS[1:]}
+        return ["failed"] * (len(TABLE_COLUMNS) - 1)
     r = row.report
-    cells = {
-        "FA ↓": f"{r.fa:.4f}",
-        "RA ↑": f"{r.ra:.4f}",
-        "TA ↑": f"{r.ta:.4f}",
-        "DP% ↑": _fmt_drop(r.dp_drop_pct),
-        "EO% ↑": _fmt_drop(r.eo_drop_pct),
-        "MIA ↓": f"{r.mia_auc:.4f}",
-        "Time ↓": f"{r.time_units:.0f}",
-    }
-    cells["Co-BUM ↑"] = ("--" if row.cobum_score is None
-                              else f"{row.cobum_score:.4f}")
-    return cells
+    return [f"{r.fa:.4f}", f"{r.ra:.4f}", f"{r.ta:.4f}", _fmt_drop(r.dp_drop_pct),
+            _fmt_drop(r.eo_drop_pct), f"{r.mia_auc:.4f}", f"{r.time_units:.0f}",
+            "--" if row.cobum_score is None else f"{row.cobum_score:.4f}"]
 
 
-def _best_cells(rows: list) -> dict:
-    """column -> set of eligible row indices holding the best value."""
-    best = {}
-    eligible = [i for i, row in enumerate(rows)
-                if row.is_strategy and row.error is None]
-    for col in TABLE_COLUMNS[1:]:
-        values = {}
-        for i in eligible:
-            cell = _row_cells(rows[i])[col]
-            if cell == "--":
-                continue
-            values[i] = float(cell)
-        if not values:
-            continue
-        pick = min(values.values()) if col in _MINIMIZED else max(values.values())
-        best[col] = {i for i, v in values.items() if v == pick}
-    return best
+def _bold_best(rows: list, grid: list) -> list:
+    """The grid with each column's best cells in bold, ties all bold. Only
+    rows with a Co-BUM score compete, so Baseline, Hard and failed rows never
+    do; a column whose name ends in ↓ is better smaller."""
+    out = [list(line) for line in grid]
+    ranked = [i for i, row in enumerate(rows) if row.cobum_score is not None]
+    for col, name in enumerate(TABLE_COLUMNS[1:], start=1):
+        values = {i: float(grid[i][col]) for i in ranked if grid[i][col] not in _TEXT_CELLS}
+        pick = (min if name.endswith("↓") else max)(values.values(), default=None)
+        for i in values:
+            if values[i] == pick:
+                out[i][col] = f"**{grid[i][col]}**"
+    return out
 
 
 def emit_table(rows: list, fmt: str, path) -> Path:
@@ -362,37 +348,17 @@ def emit_table(rows: list, fmt: str, path) -> Path:
         raise ValueError(f"unknown table format {fmt!r}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-
+    grid = [[row.method, *_row_cells(row)] for row in rows]
+    if fmt == "json":
+        return write_json(path, {"columns": list(TABLE_COLUMNS), "rows": [
+            {col: cell if col == "Method" or cell in _TEXT_CELLS else float(cell)
+             for col, cell in zip(TABLE_COLUMNS, line)} for line in grid]})
     if fmt == "csv":
-        lines = [",".join(TABLE_COLUMNS)]
-        for row in rows:
-            cells = _row_cells(row)
-            lines.append(",".join([row.method] + [cells[c] for c in TABLE_COLUMNS[1:]]))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "json":
-        payload = {"columns": list(TABLE_COLUMNS), "rows": []}
-        for row in rows:
-            cells = _row_cells(row)
-            entry = {"Method": row.method}
-            for col in TABLE_COLUMNS[1:]:
-                cell = cells[col]
-                entry[col] = cell if cell in ("--", "failed") else float(cell)
-            payload["rows"].append(entry)
-        write_json(path, payload)
+        lines = [",".join(line) for line in (TABLE_COLUMNS, *grid)]
     else:
-        best = _best_cells(rows)
-        lines = ["| " + " | ".join(TABLE_COLUMNS) + " |",
-                 "|" + "|".join(" --- " for _ in TABLE_COLUMNS) + "|"]
-        for i, row in enumerate(rows):
-            cells = _row_cells(row)
-            rendered = [row.method]
-            for col in TABLE_COLUMNS[1:]:
-                cell = cells[col]
-                if i in best.get(col, ()) and cell not in ("--", "failed"):
-                    cell = f"**{cell}**"
-                rendered.append(cell)
-            lines.append("| " + " | ".join(rendered) + " |")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = ["| " + " | ".join(line) + " |" for line in
+                 (TABLE_COLUMNS, ["---"] * len(TABLE_COLUMNS), *_bold_best(rows, grid))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -467,10 +433,6 @@ class RunManifest:
         return write_json(path, dataclasses.asdict(self))
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
                    config_path=None) -> RunManifest:
     """generate -> baseline -> gold -> strategies -> evaluate -> Co-BUM -> emit.
@@ -491,8 +453,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
 
     manifest = RunManifest(
         config_path=str(config_path) if config_path else None,
-        config_sha256=_sha256(config_path) if config_path else
-        hashlib.sha256(repr(cfg).encode()).hexdigest(),
+        config_sha256=hashlib.sha256(Path(config_path).read_bytes() if config_path
+                                     else repr(cfg).encode()).hexdigest(),
         master_seed=master_seed,
         tool_version=__version__,
         out_dir=str(out),

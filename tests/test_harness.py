@@ -358,6 +358,66 @@ def test_emit_table_rejects_empty_and_unknown_format(tmp_path):
         hn.emit_table([hn.TableRow("Baseline", report())], "tsv", tmp_path / "t")
 
 
+def bold_columns(tmp_path, rows):
+    """method -> the columns whose markdown cell is bold."""
+    text = hn.emit_table(rows, "markdown", tmp_path / "t.md").read_text(
+        encoding="utf-8")
+    out = {}
+    for line in text.splitlines()[2:]:
+        cells = line[2:-2].split(" | ")
+        out[cells[0]] = {col for col, cell in zip(hn.TABLE_COLUMNS, cells)
+                         if cell.startswith("**")}
+    return out
+
+
+def test_markdown_ties_at_printed_precision_are_all_bold(tmp_path):
+    rows = [hn.TableRow("Baseline", report()),
+            hn.TableRow("GA", report(fa=0.2), cobum_score=0.03412),
+            hn.TableRow("LoRA", report(fa=0.1), cobum_score=0.03408),
+            hn.TableRow("SCRUB", report(fa=0.3), cobum_score=0.0173)]
+    bold = bold_columns(tmp_path, rows)
+    tied = set(hn.TABLE_COLUMNS[1:]) - {"FA ↓", "Co-BUM ↑"}  # equal reports
+    assert bold["GA"] == tied | {"Co-BUM ↑"}
+    assert bold["LoRA"] == tied | {"Co-BUM ↑", "FA ↓"}
+    assert bold["SCRUB"] == tied
+
+
+def test_markdown_hard_row_is_never_bold(tmp_path):
+    best = report(fa=0.0, ra=1.0, ta=1.0, mia=0.01, t=1.0, dp_drop=99.0, eo_drop=99.0)
+    rows = [hn.TableRow("Baseline", report()),
+            hn.TableRow("Hard", best),
+            hn.TableRow("GA", report(fa=0.2, dp_drop=50.0, eo_drop=40.0),
+                        cobum_score=0.5)]
+    bold = bold_columns(tmp_path, rows)
+    assert bold["Hard"] == set() and bold["Baseline"] == set()
+    assert bold["GA"] == set(hn.TABLE_COLUMNS[1:])
+
+
+def test_markdown_failed_row_is_never_bold(tmp_path):
+    better = report(fa=0.05, ra=0.99, ta=0.97, mia=0.45, t=50.0,
+                    dp_drop=90.0, eo_drop=80.0)
+    worse = report(fa=0.4, ra=0.8, ta=0.7, mia=0.7, t=500.0,
+                   dp_drop=10.0, eo_drop=5.0)
+    rows = [hn.TableRow("Baseline", report()),
+            hn.TableRow("LoRA", error="ValueError: rank 10 outside [1, 8]"),
+            hn.TableRow("GA", worse, cobum_score=0.2),
+            hn.TableRow("SCRUB", better, cobum_score=0.9)]
+    bold = bold_columns(tmp_path, rows)
+    assert bold["LoRA"] == set() and bold["GA"] == set()
+    assert bold["SCRUB"] == set(hn.TABLE_COLUMNS[1:])
+
+
+def test_markdown_column_of_dashes_has_no_bold(tmp_path):
+    rows = [hn.TableRow("Baseline", report()),
+            hn.TableRow("GA", report(dp_drop=80.0, eo_drop=float("nan")),
+                        cobum_score=0.5),
+            hn.TableRow("LoRA", report(dp_drop=60.0, eo_drop=float("nan")),
+                        cobum_score=0.4)]
+    bold = bold_columns(tmp_path, rows)
+    assert all("EO% ↑" not in columns for columns in bold.values())
+    assert "DP% ↑" in bold["GA"] and "DP% ↑" not in bold["LoRA"]
+
+
 # ---------------------------------------------------------------------------
 # Report serialization.
 # ---------------------------------------------------------------------------
@@ -525,6 +585,37 @@ def test_cli_config_not_utf8_is_operator_error(capsys, tmp_path):
     assert code == 2
     err = capsys.readouterr().err
     assert "latin.cfg" in err and "internal error" not in err
+
+
+def test_cli_config_directory_is_operator_error(capsys, tmp_path):
+    config_dir = tmp_path / "configs"
+    config_dir.mkdir()
+    code = cli.main(["generate", "--config", str(config_dir),
+                     "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(config_dir) in err and "missing [scenario]" not in err
+
+
+@pytest.mark.parametrize("stage,out", [("generate", "taken"), ("run", "taken/x")])
+def test_cli_out_through_a_file_is_operator_error(tiny_config, tmp_path, capsys,
+                                                  stage, out):
+    (tmp_path / "taken").write_text("not a directory")
+    code = cli.main([stage, "--config", str(tiny_config), "--out", str(tmp_path / out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / out) in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-1500"])
+def test_cli_negative_seed_is_usage_error(tiny_config, tmp_path, capsys, seed):
+    out = tmp_path / "o"
+    code = cli.main(["generate", "--config", str(tiny_config), "--seed", seed,
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "config" not in err.splitlines()[-1]
+    assert not out.exists()
 
 
 def test_cli_generate_writes_bundle(tiny_config, tmp_path, capsys):
