@@ -35,13 +35,6 @@ class EvalReport:
     eo_drop_pct: float | None = None
 
 
-def accuracy(model: md.ModelParams, samples: np.recarray) -> float:
-    if not len(samples):
-        raise ValueError("accuracy: empty sample set")
-    X, y, _, _ = bg.stack(samples)
-    return float((md.predict(model, X) == y).mean())
-
-
 def _binary(vec, name: str) -> np.ndarray:
     arr = np.asarray(vec)
     if arr.ndim != 1 or arr.size == 0:
@@ -122,15 +115,9 @@ def auc_from_scores(member_scores: np.ndarray, nonmember_scores: np.ndarray) -> 
     return float(wins) / (m.size * n.size)
 
 
-def mia_auc(model: md.ModelParams, members: np.recarray, nonmembers: np.recarray) -> float:
+def mia_auc(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> float:
     """Loss-threshold membership attack: lower loss reads as "was trained on"."""
-    if not len(members) or not len(nonmembers):
-        raise ValueError("mia_auc: empty member or nonmember set")
-    Xm, ym, _, _ = bg.stack(members)
-    Xn, yn, _, _ = bg.stack(nonmembers)
-    return auc_from_scores(
-        -md.per_sample_loss(model, Xm, ym), -md.per_sample_loss(model, Xn, yn)
-    )
+    return auc_from_scores(-member_losses, -nonmember_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -192,33 +179,34 @@ def binarize_groups(bundle: bg.DataBundle, groups: np.ndarray) -> np.ndarray:
     return (groups == bg.SCENARIOS[bundle.kind].sensitive_group).astype(np.int64)
 
 
-def evaluate_model(
-    model: md.ModelParams,
-    bundle: bg.DataBundle,
-    time_units: float = 0.0,
-    baseline: EvalReport | None = None,
-) -> EvalReport:
-    """FA on D_f, RA on D_r, TA on test, DP/EO/MIA on the scenario's terms:
-    its binarization and its EO policy."""
-    forget = bg.forget_samples(bundle)
-    retain = bg.retain_samples(bundle)
-    fa = accuracy(model, forget) if len(forget) else float("nan")
-    ra = accuracy(model, retain)
+def _split_outputs(model: md.ModelParams, samples: np.recarray) -> tuple:
+    """(predictions, per-row losses, labels, groups) of a split, from one forward."""
+    X, y, groups, _ = bg.stack(samples)
+    z = md.forward(model, X).data
+    return md.classes(z, model.head), md.sample_losses(model, z, y), y, groups
 
-    X, y, groups, _ = bg.stack(bundle.test)
-    preds = md.predict(model, X)
-    ta = float((preds == y).mean())
+
+def evaluate_model(model: md.ModelParams, bundle: bg.DataBundle, time_units: float = 0.0,
+                   baseline: EvalReport | None = None) -> EvalReport:
+    """FA on D_f, RA on D_r, TA on test, DP/EO/MIA on the scenario's terms:
+    its binarization and its EO policy. Each split is forwarded once; an
+    empty D_f leaves FA and MIA NaN."""
+    preds, losses, y, groups = _split_outputs(model, bundle.test)
+    r_preds, _, r_y, _ = _split_outputs(model, bg.retain_samples(bundle))
+    fa = mia = float("nan")
+    forget = bg.forget_samples(bundle)
+    if len(forget):
+        f_preds, f_losses, f_y, _ = _split_outputs(model, forget)
+        fa, mia = float((f_preds == f_y).mean()), mia_auc(f_losses, losses)
+
     bin_preds = binarize_predictions(bundle, preds)
     bin_labels = binarize_predictions(bundle, y)
     bin_groups = binarize_groups(bundle, groups)
     dp = demographic_parity_gap(bin_preds, bin_groups)
     eo = equalized_odds_gap(bin_preds, bin_labels, bin_groups,
                             on_missing=bg.SCENARIOS[bundle.kind].eo_policy)
-
-    mia = mia_auc(model, forget, bundle.test) if len(forget) else float("nan")
-
-    report = EvalReport(fa=fa, ra=ra, ta=ta, dp_gap=dp, eo_gap=eo, mia_auc=mia,
-                        time_units=time_units)
+    report = EvalReport(fa=fa, ra=float((r_preds == r_y).mean()), ta=float((preds == y).mean()),
+                        dp_gap=dp, eo_gap=eo, mia_auc=mia, time_units=time_units)
     if baseline is not None:
         # A gapless baseline leaves the relative drop undefined; NaN marks it.
         report.dp_drop_pct = (fairness_drop_pct(baseline.dp_gap, dp)

@@ -38,19 +38,6 @@ SEED_GOLD = 3000
 SEED_STRATEGY = 4000
 SEED_COUNTERFACTUAL = 5000
 
-TABLE_COLUMNS = (
-    "Method",
-    "FA ↓",
-    "RA ↑",
-    "TA ↑",
-    "DP% ↑",
-    "EO% ↑",
-    "MIA ↓",
-    "Time ↓",
-    "Co-BUM ↑",
-)
-
-
 class UserError(Exception):
     """Operator mistake (bad flag value, missing file); exit code 2."""
 
@@ -209,8 +196,10 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def build_bundle(cfg: ExperimentConfig, master_seed: int) -> bg.DataBundle:
-    """The config's bundle; a generator's ValueError on its [scenario]
-    values is a ConfigError."""
+    """The config's bundle; a negative master seed is a UserError, and a
+    generator's ValueError on its [scenario] values is a ConfigError."""
+    if master_seed < 0:  # every derived seed must be non-negative
+        raise UserError(f"master seed must be >= 0, got {master_seed}")
     try:
         return bg.SCENARIOS[cfg.kind].generate(seed=master_seed + SEED_DATA,
                                               **cfg.scenario_params)
@@ -315,13 +304,24 @@ def _fmt_drop(value) -> str:
     return f"{value:.2f}"
 
 
+# Each column between Method and Co-BUM: name (↓: better smaller), EvalReport field, format.
+_REPORT_COLUMNS = (
+    ("FA ↓", "fa", "{:.4f}".format),
+    ("RA ↑", "ra", "{:.4f}".format),
+    ("TA ↑", "ta", "{:.4f}".format),
+    ("DP% ↑", "dp_drop_pct", _fmt_drop),
+    ("EO% ↑", "eo_drop_pct", _fmt_drop),
+    ("MIA ↓", "mia_auc", "{:.4f}".format),
+    ("Time ↓", "time_units", "{:.0f}".format),
+)
+TABLE_COLUMNS = ("Method", *(name for name, _, _ in _REPORT_COLUMNS), "Co-BUM ↑")
+
+
 def _row_cells(row: TableRow) -> list:
     """The cells after Method, in TABLE_COLUMNS order."""
     if row.error is not None:
         return ["failed"] * (len(TABLE_COLUMNS) - 1)
-    r = row.report
-    return [f"{r.fa:.4f}", f"{r.ra:.4f}", f"{r.ta:.4f}", _fmt_drop(r.dp_drop_pct),
-            _fmt_drop(r.eo_drop_pct), f"{r.mia_auc:.4f}", f"{r.time_units:.0f}",
+    return [*(fmt(getattr(row.report, key)) for _, key, fmt in _REPORT_COLUMNS),
             "--" if row.cobum_score is None else f"{row.cobum_score:.4f}"]
 
 
@@ -376,12 +376,13 @@ def report_to_dict(report: fe.EvalReport) -> dict:
 
 
 def report_from_dict(data: dict) -> fe.EvalReport:
-    """The inverse of report_to_dict. ValueError unless data is an object with
-    exactly the report's fields, each a number or null."""
+    """The inverse of report_to_dict: null is NaN, or None in a field whose
+    default is None. ValueError unless data is an object with exactly the
+    report's fields, each a number or null."""
     if not isinstance(data, dict):
         raise ValueError(f"report is a JSON {type(data).__name__}, not an object")
-    fields = {f.name for f in dataclasses.fields(fe.EvalReport)}
-    unknown, missing = set(data) - fields, fields - set(data)
+    defaults = {f.name: f.default for f in dataclasses.fields(fe.EvalReport)}
+    unknown, missing = set(data) - set(defaults), set(defaults) - set(data)
     if unknown:
         raise ValueError(f"report has unknown fields: {sorted(unknown)}")
     if missing:
@@ -390,10 +391,8 @@ def report_from_dict(data: dict) -> fe.EvalReport:
         if value is not None and (isinstance(value, bool)
                                   or not isinstance(value, (int, float))):
             raise ValueError(f"report field {key!r} is {value!r}, not a number or null")
-    kwargs = {k: (float("nan") if v is None and k not in ("dp_drop_pct", "eo_drop_pct")
-                  else v)
-              for k, v in data.items()}
-    return fe.EvalReport(**kwargs)
+    return fe.EvalReport(**{k: float("nan") if v is None and defaults[k] is not None else v
+                            for k, v in data.items()})
 
 
 def load_report(path) -> fe.EvalReport:

@@ -169,22 +169,29 @@ def loss(model: ModelParams, X, y) -> ad.Tensor:
     return loss_from_logits(forward(model, X), y, model.head)
 
 
-def per_sample_loss(model: ModelParams, X, y) -> np.ndarray:
-    """Loss of each sample separately (used by the membership attack)."""
+def sample_losses(model: ModelParams, z: np.ndarray, y) -> np.ndarray:
+    """Loss of each row of the model's logits z against its label (the
+    membership attack's score)."""
     y = _check_labels(model, y)
-    z = forward(model, X).data
-    n = z.shape[0]
     if model.head == "softmax":
-        return -ad._log_softmax(z)[np.arange(n), y]
+        return -ad._log_softmax(z)[np.arange(z.shape[0]), y]
     z1 = z[:, 0]
     return np.logaddexp(0.0, z1) - y * z1
 
 
-def predict(model: ModelParams, X) -> np.ndarray:
-    z = forward(model, X).data
-    if model.head == "softmax":
+def per_sample_loss(model: ModelParams, X, y) -> np.ndarray:
+    return sample_losses(model, forward(model, X).data, y)
+
+
+def classes(z: np.ndarray, head: str) -> np.ndarray:
+    """The predicted class of each row of logits z."""
+    if head == "softmax":
         return z.argmax(axis=1)
     return (z[:, 0] >= 0.0).astype(np.int64)
+
+
+def predict(model: ModelParams, X) -> np.ndarray:
+    return classes(forward(model, X).data, model.head)
 
 
 def predict_proba(model: ModelParams, X) -> np.ndarray:

@@ -91,11 +91,23 @@ def from_tuples(samples):
     return bg.rows(np.array(s), np.array(b), labels, 0, False)
 
 
+def split_bundle(samples, n_classes):
+    """A patch bundle whose D_f, D_r and test each hold `samples`, with
+    groups alternating so that both sensitive groups are present."""
+    samples = samples.copy()
+    samples.group = np.arange(len(samples)) % 2
+    train = np.concatenate([samples, samples]).view(np.recarray)
+    return bg.DataBundle("patch", samples.s.shape[1], samples.b.shape[1], n_classes,
+                         train, samples[:0], samples, np.arange(len(samples)), seed=0,
+                         meta={"target_class": 1})
+
+
 def test_accuracy_majority_class():
     X = np.zeros((10, 4))
     y = np.array([1] * 6 + [0] * 4)
     m = constant_model(4, 2, winner=1)
-    assert fe.accuracy(m, make_samples(X, y, 2)) == pytest.approx(0.60)
+    r = fe.evaluate_model(m, split_bundle(make_samples(X, y, 2), 2))
+    assert r.fa == r.ra == r.ta == pytest.approx(0.60)
 
 
 def test_accuracy_perfect_and_handcount():
@@ -103,20 +115,15 @@ def test_accuracy_perfect_and_handcount():
     X = rng.normal(size=(5, 4))
     m = md.init_model([4, 3], "softmax", 1)
     preds = md.predict(m, X)
-    samples = make_samples(X, preds, 2)
-    assert fe.accuracy(m, samples) == 1.0
+    r = fe.evaluate_model(m, split_bundle(make_samples(X, preds, 2), 3))
+    assert r.fa == r.ra == r.ta == 1.0
     y = preds.copy()
     y[0] = (y[0] + 1) % 3
     y[3] = (y[3] + 1) % 3
     hand = sum(int(p == t) for p, t in zip(preds, y)) / 5
-    assert fe.accuracy(m, make_samples(X, y, 2)) == pytest.approx(hand)
+    r = fe.evaluate_model(m, split_bundle(make_samples(X, y, 2), 3))
+    assert r.fa == r.ra == r.ta == pytest.approx(hand)
     assert hand == pytest.approx(0.6)
-
-
-def test_accuracy_rejects_empty():
-    m = md.init_model([4, 2], "softmax", 0)
-    with pytest.raises(ValueError):
-        fe.accuracy(m, [])
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +302,11 @@ def test_auc_negation_antisymmetry(m, n):
     )
 
 
+def losses(m, samples):
+    X, y, _, _ = bg.stack(samples)
+    return md.per_sample_loss(m, X, y)
+
+
 def test_mia_null_when_distributions_match():
     # Same model, member and nonmember batches from one Gaussian soup.
     rng = np.random.default_rng(9)
@@ -303,7 +315,7 @@ def test_mia_null_when_distributions_match():
         (rng.normal(size=4), rng.normal(size=2), int(rng.integers(0, 3)))
         for _ in range(500)
     ])
-    assert abs(fe.mia_auc(m, mk(), mk()) - 0.5) < 0.05
+    assert abs(fe.mia_auc(losses(m, mk()), losses(m, mk())) - 0.5) < 0.05
 
 
 def test_mia_perfect_separation():
@@ -312,16 +324,17 @@ def test_mia_perfect_separation():
     m.layers[0][1].data[1] = 8.0
     members = from_tuples([(rng.normal(size=2), rng.normal(size=2), 1) for _ in range(30)])
     nonmembers = from_tuples([(rng.normal(size=2), rng.normal(size=2), 0) for _ in range(30)])
-    assert fe.mia_auc(m, members, nonmembers) == 1.0
+    assert fe.mia_auc(losses(m, members), losses(m, nonmembers)) == 1.0
 
 
 def test_mia_rejects_empty():
     m = md.init_model([4, 2], "softmax", 0)
     s = bg.rows(np.zeros((1, 2)), np.zeros((1, 2)), 0, 0, False)
+    empty, full = losses(m, s[:0]), losses(m, s)
     with pytest.raises(ValueError):
-        fe.mia_auc(m, s[:0], s)
+        fe.mia_auc(empty, full)
     with pytest.raises(ValueError):
-        fe.mia_auc(m, s, s[:0])
+        fe.mia_auc(full, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +438,57 @@ def test_evaluate_model_patch_uses_available_eo():
     m = md.init_model([bundle.d_s + bundle.d_b, 16, 3], "softmax", 1)
     report = fe.evaluate_model(m, bundle)
     assert np.isfinite(report.eo_gap)
+
+
+def composed_report(model, bundle) -> dict:
+    """evaluate_model's figures composed split by split from md.predict,
+    md.per_sample_loss, auc_from_scores and the gap functions, each of which
+    forwards its split again."""
+    Xf, yf, _, _ = bg.stack(bg.forget_samples(bundle))
+    Xr, yr, _, _ = bg.stack(bg.retain_samples(bundle))
+    X, y, groups, _ = bg.stack(bundle.test)
+    preds = md.predict(model, X)
+    bin_preds = fe.binarize_predictions(bundle, preds)
+    bin_labels = fe.binarize_predictions(bundle, y)
+    bin_groups = fe.binarize_groups(bundle, groups)
+    return {
+        "fa": float((md.predict(model, Xf) == yf).mean()),
+        "ra": float((md.predict(model, Xr) == yr).mean()),
+        "ta": float((preds == y).mean()),
+        "dp_gap": fe.demographic_parity_gap(bin_preds, bin_groups),
+        "eo_gap": fe.equalized_odds_gap(bin_preds, bin_labels, bin_groups,
+                                        on_missing=bg.SCENARIOS[bundle.kind].eo_policy),
+        "mia_auc": fe.auc_from_scores(-md.per_sample_loss(model, Xf, yf),
+                                      -md.per_sample_loss(model, X, y)),
+    }
+
+
+@pytest.mark.parametrize("kind,head", [("patch", "softmax"), ("attribute", "softmax"),
+                                       ("pose", "softmax"), ("attribute", "sigmoid")])
+def test_evaluate_model_equals_per_split_composition(kind, head):
+    bundle = {"patch": lambda: bg.gen_patch_bias(60, 3, 1, 0.5, 2.5, seed=0),
+              "attribute": lambda: bg.gen_attribute_bias(600, 4.0, seed=2),
+              "pose": lambda: bg.gen_pose_bias(400, 4, 0.8, seed=1)}[kind]()
+    X, y, _, _ = bg.stack(bundle.train)
+    out = 1 if head == "sigmoid" else bundle.n_classes
+    m = md.init_model([bundle.d_s + bundle.d_b, 8, out], head, 3)
+    md.train(m, (X, y), md.TrainConfig(epochs=3, batch_size=32, learning_rate=3e-3, seed=0))
+    report = fe.evaluate_model(m, bundle)
+    expected = composed_report(m, bundle)
+    assert {key: getattr(report, key) for key in expected} == expected
+
+
+def test_evaluate_model_forwards_each_split_once(monkeypatch):
+    bundle = bg.gen_patch_bias(60, 3, 1, 0.5, 2.5, seed=0)
+    m = md.init_model([bundle.d_s + bundle.d_b, 8, 3], "softmax", 0)
+    calls = []
+    forward = md.forward
+    monkeypatch.setattr(md, "forward", lambda *a: calls.append(a) or forward(*a))
+    fe.evaluate_model(m, bundle)
+    assert len(calls) == 3  # D_f, D_r and test
+
+    calls.clear()
+    bundle.forget_idx = bundle.forget_idx[:0]
+    report = fe.evaluate_model(m, bundle)
+    assert len(calls) == 2
+    assert np.isnan(report.fa) and np.isnan(report.mia_auc)

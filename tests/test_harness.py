@@ -4,6 +4,7 @@ of work; the shipped configs are exercised by the acceptance suite."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -276,6 +277,18 @@ def test_seed_offsets_are_stable():
     assert offsets == (1000, 2000, 3000, 4000, 5000)
 
 
+@pytest.mark.parametrize("seed", [-1, -5, -1000, -1500])
+def test_negative_master_seed_is_blamed_on_the_seed(tiny_config, tmp_path, seed):
+    cfg = hn.load_config(tiny_config)
+    with pytest.raises(hn.UserError, match="master seed") as info:
+        hn.build_bundle(cfg, seed)
+    assert not isinstance(info.value, hn.ConfigError)
+    with pytest.raises(hn.UserError, match="master seed"):
+        hn.run_experiment(cfg, seed, tmp_path / "run")
+    payload = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["failed_stage"] == "generate"
+
+
 # ---------------------------------------------------------------------------
 # Table emission.
 # ---------------------------------------------------------------------------
@@ -428,6 +441,19 @@ def test_report_roundtrip_preserves_nan():
     assert math.isnan(back.fa)
     assert back.dp_drop_pct is None
     assert back.ra == src.ra
+
+
+def test_report_nulls_follow_field_defaults(monkeypatch):
+    # A new optional column is one field defaulting to None; its null stays None.
+    @dataclasses.dataclass
+    class Wider(EvalReport):
+        extra_pct: float | None = None
+
+    monkeypatch.setattr(fe, "EvalReport", Wider)
+    data = {**hn.report_to_dict(report(dp_drop=12.5)), "fa": None, "extra_pct": None}
+    back = hn.report_from_dict(data)
+    assert math.isnan(back.fa) and back.extra_pct is None and back.eo_drop_pct is None
+    assert back.dp_drop_pct == 12.5
 
 
 def test_report_from_dict_rejects_unknown_fields():
