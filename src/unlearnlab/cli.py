@@ -187,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="scenario config file (.cfg)")
-        p.add_argument("--seed", type=_seed, default=1,
-                       help="master seed, >= 0 (earlier versions also ran -1000 to -1)")
+        p.add_argument("--seed", type=_seed, default=1, help="master seed, >= 0")
         p.add_argument("--out", help="output directory "
                        "(default: $UNLEARNLAB_OUT_ROOT or ./runs, per-command subdir)")
         p.set_defaults(func=fn)

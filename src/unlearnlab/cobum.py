@@ -43,6 +43,8 @@ class CoBumParams:
 
     def __post_init__(self):
         alphas = self.alphas()
+        if not all(map(math.isfinite, (*alphas, self.gamma, self.kappa, self.epsilon))):
+            raise ValueError("weights, gamma, kappa and epsilon must be finite")
         if any(a < 0 for a in alphas) or not any(a > 0 for a in alphas):
             raise ValueError("weights must be non-negative with at least one positive")
         if self.gamma < 0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -50,19 +51,6 @@ class ConfigError(UserError):
 # Config schema.
 # ---------------------------------------------------------------------------
 
-def _scenario_schema(kind: str) -> tuple[dict, list]:
-    """(key -> type, required keys); every generator parameter but seed.
-    An optional parameter (X | None) takes values of type X."""
-    params = inspect.signature(bg.SCENARIOS[kind].generate, eval_str=True).parameters
-    schema = {}
-    for name, param in params.items():
-        types = [t for t in typing.get_args(param.annotation) if t is not type(None)]
-        schema[name] = types[0] if types else param.annotation
-    del schema["seed"]
-    required = [name for name in schema if params[name].default is inspect.Parameter.empty]
-    return schema, required
-
-
 @dataclass
 class ExperimentConfig:
     """One scenario experiment: data recipe, model, training, strategies."""
@@ -72,30 +60,42 @@ class ExperimentConfig:
     scenario_params: dict
     hidden: int = 32
     head: str = "softmax"
-    train_epochs: int = 40
-    train_batch_size: int = 64
-    train_learning_rate: float = 3e-3
+    train: md.TrainConfig = field(default_factory=md.TrainConfig)
     strategies: tuple = ()
     strategy_params: dict = field(default_factory=dict)
     cobum_params: cb.CoBumParams = field(default_factory=cb.CoBumParams)
 
 
-def _typed(section: str, key: str, raw: str, want):
-    try:
-        return want(raw)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from e
+@functools.cache
+def _parameters(fn) -> dict:
+    """fn's parameters but seed, by lower-cased name; follows __wrapped__."""
+    params = inspect.signature(fn, eval_str=True).parameters
+    return {name.lower(): p for name, p in params.items() if name != "seed"}
 
 
-def _parse_section(cp, section: str, schema: dict, skip=()) -> dict:
+def _section(cp, section: str, fn, only=None, skip=(), tag="") -> dict:
+    """{parameter name: value} from cp's [section], {} if it is absent. Its
+    keys are fn's parameters but seed (those in only, when given), matched
+    lower-cased as configparser reads them and typed by their annotation (X
+    for X | None); a parameter without a default is a required key. tag
+    qualifies the section in the missing-keys message."""
+    params = {k: p for k, p in _parameters(fn).items() if only is None or k in only}
     out = {}
-    for key, raw in cp.items(section):
+    for key, raw in cp.items(section) if cp.has_section(section) else ():
         if key in skip:
             continue
-        if key not in schema:
+        if key not in params:
             raise ConfigError(f"[{section}] has unknown key {key!r} "
-                              f"(known: {', '.join(schema)})")
-        out[key] = _typed(section, key, raw, schema[key])
+                              f"(known: {', '.join(params)})")
+        want = params[key].annotation
+        want = next((t for t in typing.get_args(want) if t is not type(None)), want)
+        try:
+            out[params[key].name] = want(raw)
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {e}") from e
+    missing = [k for k, p in params.items() if p.default is p.empty and p.name not in out]
+    if missing:
+        raise ConfigError(f"[{section}]{tag} missing keys: {', '.join(missing)}")
     return out
 
 
@@ -127,61 +127,44 @@ def load_config(path) -> ExperimentConfig:
         if name not in ul.POST_HOC_STRATEGIES:
             known = ", ".join(ul.POST_HOC_STRATEGIES)
             raise ConfigError(f"unknown strategy {name!r} (known: {known})")
+        if strategies.count(name) > 1:  # both would run with one seed
+            raise ConfigError(f"strategy {name!r} is listed more than once")
         if (ul.POST_HOC_STRATEGIES[name].needs_counterfactual
                 and bg.SCENARIOS[kind].counterfactual is None):
             raise ConfigError(
                 f"{name} needs a counterfactual recipe; none exists for {kind!r}")
 
-    schema, required = _scenario_schema(kind)
-    scen = _parse_section(cp, "scenario", schema, skip=("kind", "strategies"))
-    missing = [k for k in required if k not in scen]
-    if missing:
-        raise ConfigError(f"[scenario] ({kind}) missing keys: {', '.join(missing)}")
-
+    scen = _section(cp, "scenario", bg.SCENARIOS[kind].generate,
+                    skip=("kind", "strategies"), tag=f" ({kind})")
     cfg = ExperimentConfig(name=path.stem, kind=kind, scenario_params=scen,
-                           strategies=strategies)
+                           strategies=strategies,
+                           train=md.TrainConfig(**_section(cp, "train", md.TrainConfig)),
+                           **_section(cp, "model", ExperimentConfig, only=("hidden", "head")))
 
-    if cp.has_section("model"):
-        mp = _parse_section(cp, "model", {"hidden": int, "head": str})
-        cfg.hidden = mp.get("hidden", cfg.hidden)
-        cfg.head = mp.get("head", cfg.head)
-    if cfg.head not in ("softmax", "sigmoid"):
-        raise ConfigError(f"[model] head must be softmax or sigmoid, got {cfg.head!r}")
+    if cfg.head not in md.HEADS:
+        raise ConfigError(f"[model] head must be {' or '.join(md.HEADS)}, got {cfg.head!r}")
     # A generator without an n_classes parameter builds a binary task.
     if cfg.head == "sigmoid" and scen.get("n_classes", 2) != 2:
         raise ConfigError("[model] sigmoid head requires a binary scenario")
     if cfg.hidden < 1:
         raise ConfigError(f"[model] hidden must be >= 1, got {cfg.hidden}")
+    train = cfg.train
+    if train.epochs < 1 or train.batch_size < 1 or not 0 < train.learning_rate < math.inf:
+        raise ConfigError("[train] needs epochs >= 1, batch_size >= 1, "
+                          "and a finite learning_rate > 0")
 
-    if cp.has_section("train"):
-        tp = _parse_section(cp, "train", {
-            "epochs": int, "batch_size": int, "learning_rate": float})
-        cfg.train_epochs = tp.get("epochs", cfg.train_epochs)
-        cfg.train_batch_size = tp.get("batch_size", cfg.train_batch_size)
-        cfg.train_learning_rate = tp.get("learning_rate", cfg.train_learning_rate)
-    if cfg.train_epochs < 1 or cfg.train_batch_size < 1 or cfg.train_learning_rate <= 0:
-        raise ConfigError("[train] needs epochs >= 1, batch_size >= 1, learning_rate > 0")
-
-    strategy_types = typing.get_type_hints(ul.StrategyConfig)
     for name in strategies:
-        schema = {key: strategy_types[key] for key in ul.POST_HOC_STRATEGIES[name].reads}
-        params = _parse_section(cp, name, schema) if cp.has_section(name) else {}
+        params = _section(cp, name, ul.StrategyConfig, only=ul.POST_HOC_STRATEGIES[name].reads)
         try:
             ul.StrategyConfig(seed=0, **params)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"[{name}]: {e}") from e
         cfg.strategy_params[name] = params
 
-    if cp.has_section("cobum"):
-        # configparser lower-cases keys, so alpha_U is read as alpha_u.
-        fields = {f.name.lower(): f.name for f in dataclasses.fields(cb.CoBumParams)}
-        types = typing.get_type_hints(cb.CoBumParams)
-        raw = _parse_section(cp, "cobum", {k: types[f] for k, f in fields.items()})
-        kwargs = {fields[key]: value for key, value in raw.items()}
-        try:
-            cfg.cobum_params = cb.CoBumParams(**kwargs)
-        except ValueError as e:
-            raise ConfigError(f"[cobum]: {e}") from e
+    try:
+        cfg.cobum_params = cb.CoBumParams(**_section(cp, "cobum", cb.CoBumParams))
+    except ValueError as e:
+        raise ConfigError(f"[cobum]: {e}") from e
 
     known = {"scenario", "model", "train", "cobum", *strategies}
     extra = [s for s in cp.sections() if s not in known]
@@ -213,8 +196,7 @@ def model_arch(cfg: ExperimentConfig, bundle: bg.DataBundle) -> list:
 
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> md.TrainConfig:
-    return md.TrainConfig(epochs=cfg.train_epochs, batch_size=cfg.train_batch_size,
-                          learning_rate=cfg.train_learning_rate, seed=seed)
+    return dataclasses.replace(cfg.train, seed=seed)
 
 
 @contextlib.contextmanager
@@ -237,7 +219,7 @@ def train_baseline(cfg: ExperimentConfig, bundle: bg.DataBundle,
     seconds = {}
     with clock(seconds, "train"):
         md.train(model, (X, y), _train_config(cfg, master_seed + SEED_BASELINE))
-    return model, seconds["train"], float(cfg.train_epochs * len(bundle.train))
+    return model, seconds["train"], float(cfg.train.epochs * len(bundle.train))
 
 
 def train_gold(cfg: ExperimentConfig, bundle: bg.DataBundle,

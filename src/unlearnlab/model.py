@@ -68,7 +68,7 @@ class ModelParams:
 class TrainConfig:
     epochs: int = 40
     batch_size: int = 64
-    learning_rate: float = 1e-4
+    learning_rate: float = 3e-3
     seed: int = 0
 
 

@@ -17,6 +17,7 @@ iterations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,6 +51,8 @@ class StrategyConfig:
     hessian_scope: str = "head"
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta, self.alpha, self.beta, self.damping))):
+            raise ValueError("eta, alpha, beta and damping must be finite")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.alpha < 0 or self.beta < 0:

@@ -78,6 +78,14 @@ def test_params_defaults():
         {"kappa": 0.0},
         {"epsilon": 0.0},
         {"epsilon": 1.0},
+        # Non-finite values: NaN slips past every ordered comparison above.
+        {"alpha_U": float("nan")},
+        {"alpha_Q": float("inf")},
+        {"gamma": float("nan")},
+        {"gamma": float("inf")},
+        {"kappa": float("nan")},
+        {"kappa": float("inf")},
+        {"epsilon": float("nan")},
     ],
 )
 def test_params_validation(kwargs):

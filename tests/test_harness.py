@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,7 @@ def test_tiny_config_values(tiny_config):
     assert cfg.kind == "patch"
     assert cfg.strategies == ("gradient_ascent", "lora")
     assert cfg.hidden == 8
-    assert cfg.train_epochs == 10
+    assert cfg.train.epochs == 10
     assert cfg.strategy_params["gradient_ascent"] == {"eta": 1e-4, "steps": 3}
     assert cfg.scenario_params["n_per_class"] == 20
 
@@ -262,6 +263,83 @@ def test_cobum_section_maps_to_params(tmp_path, tiny_config):
     cfg = hn.load_config(path)
     assert cfg.cobum_params.gamma == 0.25
     assert cfg.cobum_params.alpha_U == 0.5
+
+
+def test_train_defaults_to_train_config(tmp_path):
+    cfg = hn.load_config(write_config(tmp_path, TINY_SCENARIO))
+    assert cfg.train == md.TrainConfig()
+
+
+def test_train_keys_follow_train_config_fields(tmp_path, tiny_config, monkeypatch):
+    @dataclasses.dataclass
+    class WarmTrainConfig(md.TrainConfig):
+        warmup: int = 0
+
+    monkeypatch.setattr(md, "TrainConfig", WarmTrainConfig)
+    text = tiny_config.read_text().replace("epochs = 10", "epochs = 10\nwarmup = 3")
+    cfg = hn.load_config(write_config(tmp_path, text))
+    assert cfg.train == WarmTrainConfig(epochs=10, batch_size=16, learning_rate=5e-3,
+                                        warmup=3)
+    assert hn._train_config(cfg, 7) == dataclasses.replace(cfg.train, seed=7)
+
+
+def test_train_seed_is_not_a_key(tmp_path, tiny_config):
+    text = tiny_config.read_text().replace("epochs = 10", "epochs = 10\nseed = 3")
+    with pytest.raises(hn.ConfigError, match=r"\[train\] has unknown key 'seed'"):
+        hn.load_config(write_config(tmp_path, text))
+
+
+def test_unknown_model_key_names_the_known_keys(tmp_path, tiny_config):
+    text = tiny_config.read_text().replace("hidden = 8", "hidden = 8\ndepth = 2")
+    with pytest.raises(hn.ConfigError,
+                       match=r"\[model\] has unknown key 'depth' \(known: hidden, head\)"):
+        hn.load_config(write_config(tmp_path, text))
+
+
+def test_strategy_listed_twice_rejected(tmp_path, tiny_config, capsys):
+    text = tiny_config.read_text().replace("gradient_ascent lora", "lora gradient_ascent lora")
+    path = write_config(tmp_path, text)
+    with pytest.raises(hn.ConfigError, match="'lora' is listed more than once"):
+        hn.load_config(path)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "'lora' is listed more than once" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("section,old,new", [
+    ("train", "learning_rate = 5e-3", "learning_rate = nan"),
+    ("train", "learning_rate = 5e-3", "learning_rate = inf"),
+    ("lora", "eta = 1e-3\nrank", "eta = nan\nrank"),
+    ("lora", "eta = 1e-3\nrank", "eta = inf\nrank"),
+    ("cobum", "gamma = 0.5", "gamma = nan"),
+    ("cobum", "gamma = 0.5", "gamma = inf"),
+])
+def test_cli_non_finite_value_is_operator_error(tmp_path, capsys, section, old, new):
+    text = TINY_PATCH + "\n[cobum]\ngamma = 0.5\n"
+    assert text.count(old) == 1
+    path = write_config(tmp_path, text.replace(old, new))
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"[{section}]" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_readme_config_format_lists_the_keys_each_section_reads():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Config format\n")[1].split("\n## ")[0]
+    listed = {}
+    for line in section.splitlines():
+        entry = re.fullmatch(r"\s*- `\[(\w+)\]`[^:]*: (.*)", line)
+        if entry:
+            listed[entry[1]] = entry[2]
+    for name, strategy in ul.POST_HOC_STRATEGIES.items():
+        assert re.fullmatch(r"`([\w, ]+)`", listed[name])[1].split(", ") == list(strategy.reads)
+    train = dict(re.findall(r"`(\w+)` \(([^)]*)\)", listed["train"]))
+    fields = [f.name for f in dataclasses.fields(md.TrainConfig) if f.name != "seed"]
+    assert list(train) == fields
+    assert {k: float(v) for k, v in train.items()} == {
+        k: getattr(md.TrainConfig(), k) for k in fields}
 
 
 def test_sigmoid_head_needs_binary_task(tmp_path, tiny_config):

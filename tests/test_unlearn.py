@@ -82,6 +82,13 @@ def model_bytes(m: md.ModelParams) -> bytes:
         {"steps": -1},
         {"damping": -1e-3},
         {"hessian_scope": "tail"},
+        # Non-finite floats: NaN slips past every ordered comparison above.
+        {"eta": float("nan")},
+        {"eta": float("inf")},
+        {"alpha": float("nan")},
+        {"beta": float("inf")},
+        {"damping": float("nan")},
+        {"damping": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
