@@ -110,6 +110,11 @@ def cmd_unlearn(args) -> int:
     if ul.POST_HOC_STRATEGIES[args.strategy].needs_teacher:
         gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold
                 else hn.train_gold(cfg, bundle, args.seed).model)
+        if (gold.layer_sizes, gold.head) != (baseline.layer_sizes, baseline.head):
+            given = " and ".join(filter(None, (args.baseline, args.gold)))
+            raise hn.UserError(
+                f"checkpoint {given}: teacher {gold.layer_sizes}/{gold.head} does not "
+                f"fit student {baseline.layer_sizes}/{baseline.head}")
     seconds = {}
     with hn.clock(seconds, "unlearn"):
         result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)

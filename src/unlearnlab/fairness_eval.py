@@ -132,13 +132,10 @@ def _winning_logit_input_grads(model: md.ModelParams, X: np.ndarray) -> np.ndarr
     """
     X = np.asarray(X, dtype=np.float64)
     leaf = ad.tensor(X)
-    logits = md.forward_stack(md.effective_weights(model), leaf)
+    logits = md.forward(model, leaf)
     z = logits.data
     pick = np.zeros_like(z)
-    if model.head == "sigmoid":
-        pick[:, 0] = 1.0
-    else:
-        pick[np.arange(z.shape[0]), z.argmax(axis=1)] = 1.0
+    pick[np.arange(z.shape[0]), z.argmax(axis=1)] = 1.0
     selected = ad.sum_all(ad.mul(logits, ad.tensor(pick)))
     (g,) = ad.grad(selected, [leaf])
     return g.data

@@ -151,8 +151,8 @@ def loss_targets(y: np.ndarray, head: str, k: int) -> np.ndarray:
 
 
 def target_loss(logits: ad.Tensor, targets: ad.Tensor, head: str) -> ad.Tensor:
-    """Mean cross-entropy against a leaf of loss_targets. softmax: -mean
-    log p_y. sigmoid: mean(softplus(z) - y z), stable on logits."""
+    """Mean cross-entropy against targets t, a leaf of loss_targets or of
+    predict_proba: softmax -mean sum t log q, sigmoid mean(softplus(z) - t z)."""
     if logits.shape[0] == 0:
         raise ad.ShapeError("loss: empty batch")
     if head == "softmax":
@@ -201,6 +201,18 @@ def predict_proba(model: ModelParams, X) -> np.ndarray:
         e = np.exp(z - ad._row_reduce(np.maximum, z)[:, None])
         return e / ad._row_reduce(np.add, e)[:, None]
     return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
+def neg_entropy(p: np.ndarray, head: str) -> np.ndarray:
+    """Mean over rows of sum p log p for probabilities p from predict_proba,
+    with (1-p) log(1-p) added for a sigmoid head, as a 0-d array: the part of
+    KL(p || student) that target_loss against p leaves out."""
+    if head == "softmax":
+        plogp = np.where(p > 0.0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
+        return np.asarray(float(np.sum(plogp)) / p.shape[0])
+    safe = np.clip(p, 1e-300, 1.0 - 1e-16)
+    plogp = p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
+    return np.asarray(float(np.mean(plogp)))
 
 
 def trainable_params(model: ModelParams) -> list[ad.Tensor]:

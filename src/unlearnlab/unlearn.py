@@ -179,9 +179,11 @@ def gradient_ascent(
             p.data = p.data + cfg.eta * g.data
         cost += len(forget) + batch
 
-        post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
-        finite = np.isfinite(post) and all(np.isfinite(p.data).all() for p in params)
-        if not finite or post > FORGET_LOSS_CEILING:
+        try:  # the forward checks every node, so a non-finite parameter raises
+            post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
+        except ad.NonFiniteError:
+            post = math.nan
+        if not post <= FORGET_LOSS_CEILING:
             for p, s in zip(params, snapshot):
                 p.data = s
             truncated = True
@@ -264,28 +266,6 @@ def lora_unlearn(
 # Teacher-student distillation (SCRUB-style).
 # ---------------------------------------------------------------------------
 
-def _teacher_operands(p: np.ndarray, head: str) -> list[np.ndarray]:
-    """The constant operands of KL(teacher || student) for teacher
-    probabilities p: the mean of p log p (plus (1-p) log(1-p) for a sigmoid
-    head), the student-independent part, as a 0-d array; p; and for a
-    sigmoid head 1 - p."""
-    if head == "softmax":
-        plogp = np.where(p > 0.0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
-        return [np.asarray(float(np.sum(plogp)) / p.shape[0]), p]
-    safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    plogp = p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
-    return [np.asarray(float(np.mean(plogp))), p, 1.0 - p]
-
-
-def _teacher_kl(z: ad.Tensor, head: str, plogp: ad.Tensor, p: ad.Tensor, q=None) -> ad.Tensor:
-    """Mean KL(teacher || student) of student logits z as a graph scalar,
-    from the leaves of _teacher_operands."""
-    if head == "softmax":
-        return ad.add(ad.softmax_xent(z, p), plogp)
-    cross = ad.mean_all(ad.add(ad.mul(p, ad.softplus(ad.neg(z))), ad.mul(q, ad.softplus(z))))
-    return ad.add(cross, plogp)
-
-
 def scrub_unlearn(
     baseline: md.ModelParams,
     teacher: md.ModelParams,
@@ -295,16 +275,17 @@ def scrub_unlearn(
     """Student starts from the baseline and is pulled toward the teacher on
     D_r (KL + task cross-entropy) and pushed away on D_f (negated KL).
 
-    The forget KL is clipped at FORGET_KL_CLIP per batch by dropping its
-    gradient once past the cap; the logged total always equals
-    retain_kl + task_loss - forget_used. Each step's plan computes both
-    totals, and the backward runs from the one the forget KL selects.
+    Each KL(teacher || student) is the student's loss against the teacher's
+    probabilities plus their neg_entropy. The forget KL is clipped at
+    FORGET_KL_CLIP per batch by dropping its gradient once past the cap; the
+    logged total always equals retain_kl + task_loss - forget_used.
     """
     if baseline.layer_sizes != teacher.layer_sizes or baseline.head != teacher.head:
         raise ValueError(
             f"scrub_unlearn: teacher {teacher.layer_sizes}/{teacher.head} does not match "
             f"student {baseline.layer_sizes}/{baseline.head}"
         )
+    head = baseline.head
     forget = bg.forget_samples(bundle)
     retain = bg.retain_samples(bundle)
     if not len(retain):
@@ -312,46 +293,44 @@ def scrub_unlearn(
     Xr, yr, _, _ = bg.stack(retain)
     Xf, yf, _, _ = bg.stack(forget)
     teacher_r = md.predict_proba(teacher, Xr)
-    forget_ops = (_teacher_operands(md.predict_proba(teacher, Xf), baseline.head)
-                  if len(forget) else None)
+    teacher_f = md.predict_proba(teacher, Xf) if len(forget) else None
     batch = min(len(retain), len(forget)) if len(forget) else min(64, len(retain))
     rng = np.random.default_rng(cfg.seed)
 
     student = md.copy_model(baseline)
     params = md.trainable_params(student)
     opt = md.Adam(params, cfg.eta)
-    Tr = md.loss_targets(yr, student.head, student.layer_sizes[-1])
+    Tr = md.loss_targets(yr, head, student.layer_sizes[-1])
 
-    def build(X, T, *teacher_leaves):
+    def build(X, T, P, plogp):
         z_r = md.forward(student, X)
-        retain_kl = _teacher_kl(z_r, student.head, *teacher_leaves)
-        task = md.target_loss(z_r, T, student.head)
+        retain_kl = ad.add(md.target_loss(z_r, P, head), plogp)
+        task = md.target_loss(z_r, T, head)
         keep_terms = ad.add(retain_kl, task)
         if not len(forget):
             return retain_kl, task, keep_terms
-        forget_kl = _teacher_kl(md.forward(student, Xf), student.head,
-                                *map(ad.tensor, forget_ops))
-        return (retain_kl, task, keep_terms, forget_kl, ad.sub(keep_terms, forget_kl),
-                ad.addc(keep_terms, -FORGET_KL_CLIP))
+        forget_kl = ad.add(md.target_loss(md.forward(student, Xf), ad.tensor(teacher_f), head),
+                           ad.tensor(md.neg_entropy(teacher_f, head)))
+        return retain_kl, task, keep_terms, forget_kl, ad.sub(keep_terms, forget_kl)
 
     plan = ad.StepPlan(build, params)
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
         idx = rng.choice(len(retain), size=batch, replace=False)
-        retain_kl, task, total, *forget_out = plan.forward(
-            Xr[idx], Tr[idx], *_teacher_operands(teacher_r[idx], student.head))
+        P = teacher_r[idx]
+        retain_kl, task, keep_terms, *forget_out = plan.forward(
+            Xr[idx], Tr[idx], P, md.neg_entropy(P, head))
         cost += batch
 
-        forget_kl_val = forget_used = 0.0
+        total, forget_kl_val, forget_used = keep_terms, 0.0, 0.0
         if forget_out:
-            forget_kl, used, clipped = forget_out
+            forget_kl, used = forget_out
             forget_kl_val = float(forget_kl.data)
+            forget_used = min(forget_kl_val, FORGET_KL_CLIP)
             if forget_kl_val <= FORGET_KL_CLIP:
-                total, forget_used = used, forget_kl_val
+                total = used
                 cost += len(forget)
-            else:
-                total, forget_used = clipped, FORGET_KL_CLIP
         opt.step([g.data for g in plan.grad(total)])
         log.append({
             "step": step,
@@ -359,7 +338,7 @@ def scrub_unlearn(
             "retain_loss": float(retain_kl.data),
             "task_loss": float(task.data),
             "forget_used": forget_used,
-            "total": float(total.data),
+            "total": float(keep_terms.data) - forget_used,
         })
     return UnlearnResult(model=student, step_log=log, cost_units=cost)
 

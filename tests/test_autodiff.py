@@ -332,8 +332,8 @@ def test_first_order_grad_matches_taped_on_scrub_kl(head, sizes):
     student = md.init_model(sizes, head, 47)
     p = md.predict_proba(teacher, X)
     assert_modes_agree(
-        lambda: ul._teacher_kl(md.forward(student, X), head,
-                               *map(ad.tensor, ul._teacher_operands(p, head))),
+        lambda: ad.add(md.target_loss(md.forward(student, X), ad.tensor(p), head),
+                       ad.tensor(md.neg_entropy(p, head))),
         md.trainable_params(student),
     )
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from unlearnlab import unlearn as ul
 from unlearnlab.fairness_eval import EvalReport
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 TINY_PATCH = """
 [scenario]
@@ -597,6 +599,19 @@ def test_run_experiment_deterministic(tiny_config, tmp_path):
                 == Path(m2.reports[name]).read_bytes())
 
 
+@pytest.mark.parametrize("name", ["patch", "attribute", "pose"])
+def test_shipped_config_reproduces_reference_results(tmp_path, name):
+    """The benchmark's reference digests of results.* at seed 1 hold for
+    every shipped config, so a drift in any scenario fails here too."""
+    expected = json.loads(REFERENCE.read_text())[f"{name}@1"]
+    config = CONFIG_DIR / f"{name}.cfg"
+    out = tmp_path / name
+    manifest = hn.run_experiment(hn.load_config(config), 1, out, config_path=config)
+    assert not manifest.failed_strategies
+    files = ("results.csv", "results.json", "results.md")
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files} == expected
+
+
 def test_run_experiment_strategy_isolation(tiny_config, tmp_path):
     cfg = hn.load_config(tiny_config)
     manifest = hn.run_experiment(cfg, 7, tmp_path / "run", config_path=tiny_config)
@@ -869,6 +884,19 @@ def test_cli_unlearn_strategy_must_be_configured(tiny_config, tmp_path, capsys):
                      "scrub", "--out", str(tmp_path / "o")])
     assert code == 2
     assert "scrub" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--gold", "--baseline"])
+def test_cli_scrub_teacher_must_fit_student(tmp_path, capsys, flag):
+    config = write_config(tmp_path, TINY_RUNS["patch"])
+    bundle = hn.build_bundle(hn.load_config(config), 1)
+    ckpt = tmp_path / "narrow.ckpt"
+    md.save_checkpoint(md.init_model([bundle.d_s + bundle.d_b, 6, 3], "softmax", 0), ckpt)
+    code = cli.main(["unlearn", "--config", str(config), "--strategy", "scrub",
+                     flag, str(ckpt), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "narrow.ckpt" in err and "internal error" not in err
 
 
 def test_cli_unlearn_writes_checkpoint(tiny_config, tmp_path, capsys):

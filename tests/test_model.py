@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import rel_entr
 
 from unlearnlab import autodiff as ad
 from unlearnlab import model as md
@@ -94,6 +95,21 @@ def test_label_range_rejected():
     s = md.init_model([3, 1], "sigmoid", seed=0)
     with pytest.raises(ValueError):
         md.loss(s, np.zeros((2, 3)), np.array([0, 2]))
+
+@pytest.mark.parametrize("head,sizes", [("softmax", [5, 7, 4]), ("sigmoid", [5, 7, 1])])
+def test_loss_on_teacher_probabilities_plus_neg_entropy_is_kl(head, sizes):
+    """target_loss(z, p) + neg_entropy(p) is the mean KL(p || q), checked
+    against scipy's elementwise p log(p/q); a sigmoid head's is Bernoulli."""
+    rng = np.random.default_rng(50)
+    X = rng.normal(size=(9, 5))
+    p = md.predict_proba(md.init_model(sizes, head, 51), X)
+    student = md.init_model(sizes, head, 52)
+    q = md.predict_proba(student, X)
+    kl = ad.add(md.target_loss(md.forward(student, X), ad.tensor(p), head),
+                ad.tensor(md.neg_entropy(p, head))).item()
+    if head == "sigmoid":
+        p, q = np.hstack([p, 1.0 - p]), np.hstack([q, 1.0 - q])
+    assert kl == pytest.approx(np.mean(np.sum(rel_entr(p, q), axis=1)), abs=1e-12)
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)

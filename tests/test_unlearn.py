@@ -184,6 +184,19 @@ def test_ga_divergence_guard_truncates():
     assert np.mean(md.per_sample_loss(result.model, Xf, yf)) <= ul.FORGET_LOSS_CEILING
 
 
+def test_ga_overflowing_step_truncates_to_the_baseline():
+    # A step of 1e300 overflows the guard's own forward, which raises
+    # NonFiniteError: that too undoes the step.
+    bundle = bg.gen_attribute_bias(300, 3.0, seed=7)
+    m = md.init_model([bundle.d_s + bundle.d_b, 8, 2], "softmax", 5)
+    cfg = ul.StrategyConfig(eta=1e300, steps=5, seed=0)
+    with np.errstate(over="ignore"):
+        result = ul.gradient_ascent(m, bundle, cfg)
+    assert result.truncated
+    assert result.step_log == []
+    assert model_bytes(result.model) == model_bytes(m)
+
+
 def test_ga_rejects_empty_forget():
     bundle = make_blob_bundle(n_forget=0)
     m = md.init_model([6, 2], "softmax", 0)
@@ -258,9 +271,10 @@ def test_scrub_rejects_architecture_mismatch():
         ul.scrub_unlearn(a, b, make_blob_bundle(), ul.StrategyConfig())
 
 
-def test_scrub_teacher_equals_student_starts_at_zero_kl():
+@pytest.mark.parametrize("head", ["softmax", "sigmoid"])
+def test_scrub_teacher_equals_student_starts_at_zero_kl(head):
     bundle = make_blob_bundle(seed=9)
-    m = md.init_model([6, 8, 2], "softmax", 1)
+    m = md.init_model([6, 8, 2 if head == "softmax" else 1], head, 1)
     cfg = ul.StrategyConfig(eta=1e-3, steps=1, seed=0)
     result = ul.scrub_unlearn(m, md.copy_model(m), bundle, cfg)
     assert result.step_log[0]["retain_loss"] < 1e-10
