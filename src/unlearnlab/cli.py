@@ -104,10 +104,15 @@ def cmd_unlearn(args) -> int:
         raise hn.UserError(
             f"strategy {args.strategy!r} is not listed in {cfg.name}'s config "
             f"(has: {', '.join(cfg.strategies)})")
+    strategy = ul.POST_HOC_STRATEGIES[args.strategy]
     bundle = hn.build_bundle(cfg, args.seed)
     baseline = _load_or_train_baseline(cfg, bundle, args)
+    refused = [name for name in strategy.refuses if getattr(baseline, name)]
+    if refused:  # only a loaded checkpoint can carry them
+        raise hn.UserError(f"baseline checkpoint {args.baseline}: {args.strategy} "
+                           f"cannot start from a model with {', '.join(refused)}")
     gold = None
-    if ul.POST_HOC_STRATEGIES[args.strategy].needs_teacher:
+    if strategy.needs_teacher:
         gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold
                 else hn.train_gold(cfg, bundle, args.seed).model)
         if (gold.layer_sizes, gold.head) != (baseline.layer_sizes, baseline.head):

@@ -18,6 +18,8 @@ import hashlib
 import inspect
 import json
 import math
+import os
+import pickle
 import time
 import typing
 from dataclasses import dataclass, field
@@ -202,12 +204,72 @@ def _train_config(cfg: ExperimentConfig, seed: int) -> md.TrainConfig:
 @contextlib.contextmanager
 def clock(into: dict, key: str):
     """Write the wall seconds of the with-block into into[key], also when it
-    raises. The library reads the clock here and nowhere else."""
+    raises. The library reads the clock here and nowhere else; a task that
+    _fork_join runs in a child reads it there and sends the seconds back."""
     t0 = time.perf_counter()
     try:
         yield
     finally:
         into[key] = time.perf_counter() - t0
+
+
+def _fork_join(tasks: dict, jobs: int | None, seconds: dict) -> tuple[dict, dict]:
+    """({name: value}, {name: exception}) of tasks' thunks, in tasks' order;
+    seconds[name] gets each one's wall seconds. This process and up to
+    jobs - 1 forked children (at most the usable CPUs, which None means) take
+    the tasks in order from one pipe; a child pickles back only its outcomes.
+    Every child is reaped before this returns or raises, and one that dies
+    raises ChildProcessError. jobs <= 1, or a platform without
+    os.sched_getaffinity (Linux has it, and os.fork), forks nothing."""
+    names = list(tasks)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    todo, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))  # one byte per task index
+    os.close(feed)
+    values, errors, wall = {}, {}, {}
+
+    def work() -> None:
+        while index := os.read(todo, 1):
+            name = names[index[0]]
+            try:
+                with clock(wall, name):
+                    values[name] = tasks[name]()
+            except Exception as e:  # noqa: BLE001 - the caller decides what fails
+                errors[name] = e
+
+    children = {}
+    try:
+        for _ in range(min(cpus if jobs is None else jobs, cpus, len(names)) - 1):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns to the caller
+                status = 1
+                try:
+                    with os.fdopen(write, "wb") as sink:
+                        work()
+                        pickle.dump((values, errors, wall), sink)
+                    status = 0
+                except BaseException:  # noqa: BLE001 - report, then exit
+                    import traceback  # only a dying worker needs it
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = read
+        work()
+    finally:
+        os.close(todo)
+        for pid, read in children.items():
+            with os.fdopen(read, "rb") as source:  # drain, then reap
+                children[pid] = source.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for payload, code in children.values():
+        if code != 0:
+            raise ChildProcessError(f"a worker died with exit code {code} before reporting")
+        # Unpickle only what this function's own children wrote.
+        for mine, theirs in zip((values, errors, wall), pickle.loads(payload)):
+            mine.update(theirs)
+    seconds.update((name, wall[name]) for name in names)
+    return ({n: values[n] for n in names if n in values},
+            {n: errors[n] for n in names if n in errors})
 
 
 def train_baseline(cfg: ExperimentConfig, bundle: bg.DataBundle,
@@ -415,15 +477,18 @@ class RunManifest:
 
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
-                   config_path=None) -> RunManifest:
+                   config_path=None, jobs: int | None = None) -> RunManifest:
     """generate -> baseline -> gold -> strategies -> evaluate -> Co-BUM -> emit.
 
     Every strategy gets the in-memory baseline (and SCRUB the gold model as
     teacher) and works on its own copy, so sibling strategies never see each
-    other's updates. A failing strategy becomes a "failed" table row; a
-    failing stage aborts the run but leaves the manifest and any partial
-    artifacts behind. The manifest takes every stage's, training run's and
-    strategy's wall seconds from clock, failed ones included.
+    other's updates. Baseline and gold train side by side, then the
+    strategies run, in up to jobs processes (_fork_join); no byte but the
+    manifest's depends on jobs. A failing strategy becomes a "failed" table
+    row; a failing stage aborts the run but leaves the manifest and any
+    partial artifacts behind. The manifest takes every stage's, training
+    run's and strategy's wall seconds from clock, failed ones included; its
+    "baseline" stage spans both trainings, and "gold" saves gold's checkpoint.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -457,26 +522,29 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         manifest.reports["bundle"] = str(out / "bundle.csv")
 
     with stage("baseline"):
-        baseline, manifest.wall_seconds["baseline"], baseline_units = train_baseline(
-            cfg, bundle, master_seed)
+        trained, failed = _fork_join(
+            {"baseline": lambda: train_baseline(cfg, bundle, master_seed),
+             "gold": lambda: train_gold(cfg, bundle, master_seed)}, jobs, manifest.wall_seconds)
+        if "baseline" in failed:
+            raise failed["baseline"]
+        baseline, _, baseline_units = trained["baseline"]
         manifest.checkpoints["baseline"] = str(save_model(baseline, out, "baseline"))
 
     with stage("gold"):
-        with clock(manifest.wall_seconds, "gold"):
-            gold = train_gold(cfg, bundle, master_seed)
+        if "gold" in failed:
+            raise failed["gold"]
+        gold = trained["gold"]
         manifest.checkpoints["gold"] = str(save_model(gold.model, out, "gold"))
 
     with stage("strategies"):
-        results = {}
-        for name in cfg.strategies:
-            try:
-                with clock(manifest.wall_seconds, name):
-                    result = run_strategy(name, cfg, bundle, baseline, gold.model, master_seed)
-            except Exception as e:
-                manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
-                continue
+        results, failed = _fork_join(
+            {name: functools.partial(run_strategy, name, cfg, bundle, baseline, gold.model,
+                                     master_seed) for name in cfg.strategies},
+            jobs, manifest.wall_seconds)
+        for name, e in failed.items():
+            manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
+        for name, result in results.items():
             manifest.checkpoints[name] = str(save_model(result.model, out, name))
-            results[name] = result
 
     with stage("evaluate"):
         reports = {"baseline": fe.evaluate_model(baseline, bundle, time_units=baseline_units)}

@@ -179,8 +179,11 @@ def gradient_ascent(
             p.data = p.data + cfg.eta * g.data
         cost += len(forget) + batch
 
-        try:  # the forward checks every node, so a non-finite parameter raises
-            post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
+        # The forward checks every node, so a non-finite parameter raises;
+        # an overflow on the way there is the guard's to report, not numpy's.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
         except ad.NonFiniteError:
             post = math.nan
         if not post <= FORGET_LOSS_CEILING:
@@ -511,15 +514,17 @@ def fmd_unlearn(
 class Strategy:
     """A post-hoc strategy: its table label, the StrategyConfig fields it
     reads (its config section's keys), whether it needs a counterfactual set
-    or the gold model as teacher (else it may get None), and run(model,
-    teacher, bundle, cfg, counterfactual), which looks the strategy function
-    up on this module at each call."""
+    or the gold model as teacher (else it may get None), the ModelParams
+    fields it refuses to find non-empty in the model it starts from, and
+    run(model, teacher, bundle, cfg, counterfactual), which looks the
+    strategy function up on this module at each call."""
 
     label: str
     reads: tuple[str, ...]
     run: Callable[..., UnlearnResult]
     needs_counterfactual: bool = False
     needs_teacher: bool = False
+    refuses: tuple[str, ...] = ()
 
 
 POST_HOC_STRATEGIES = {
@@ -528,7 +533,8 @@ POST_HOC_STRATEGIES = {
         lambda model, teacher, bundle, cfg, d_c: gradient_ascent(model, bundle, cfg)),
     "lora": Strategy(
         "LoRA", ("eta", "beta", "rank", "steps"),
-        lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg)),
+        lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg),
+        refuses=("adapters",)),
     "scrub": Strategy(
         "SCRUB", ("eta", "steps"),
         lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg),

@@ -9,7 +9,9 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -628,7 +630,8 @@ def test_run_experiment_reads_no_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(md, "load_checkpoint", lambda path: loads.append(path))
     path = write_config(tmp_path, TINY_RUNS["patch"])
     cfg = hn.load_config(path)
-    manifest = hn.run_experiment(cfg, 7, tmp_path / "run", config_path=path)
+    # jobs=1: a load in a forked worker would not reach this process's list.
+    manifest = hn.run_experiment(cfg, 7, tmp_path / "run", config_path=path, jobs=1)
     assert set(cfg.strategies) == set(ul.POST_HOC_STRATEGIES)
     assert not manifest.failed_strategies
     assert loads == []
@@ -664,6 +667,119 @@ def test_failed_stage_writes_manifest_and_reraises(tmp_path, tiny_config, monkey
     assert list(payload["stage_seconds"]) == [
         "generate", "baseline", "gold", "strategies", "evaluate"]
     assert all(seconds >= 0.0 for seconds in payload["stage_seconds"].values())
+
+
+# ---------------------------------------------------------------------------
+# Forked workers.
+# ---------------------------------------------------------------------------
+
+needs_two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+    reason="forked workers need two usable CPUs")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_files(out: Path) -> dict:
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def meet(where: Path, name: str, *others: str) -> None:
+    """Mark name as started, then wait until every other name has started
+    too: tasks that meet here run at once, so in different processes."""
+    (where / name).touch()
+    deadline = time.monotonic() + 30.0
+    while not all((where / other).exists() for other in others):
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"{name} waited for {others} in vain")
+        time.sleep(0.002)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_jobs_one_and_default_write_identical_files(tmp_path, seed):
+    path = write_config(tmp_path, TINY_RUNS["patch"])
+    cfg = hn.load_config(path)
+    assert set(cfg.strategies) == set(ul.POST_HOC_STRATEGIES)
+    serial = hn.run_experiment(cfg, seed, tmp_path / "serial", config_path=path, jobs=1)
+    forked = hn.run_experiment(cfg, seed, tmp_path / "forked", config_path=path)
+    assert_no_child_left()
+    assert run_files(tmp_path / "serial") == run_files(tmp_path / "forked")
+    for manifest in (serial, forked):
+        assert list(manifest.stage_seconds) == [
+            "generate", "baseline", "gold", "strategies", "evaluate", "cobum", "emit"]
+        assert list(manifest.wall_seconds) == ["baseline", "gold", *cfg.strategies]
+        assert list(manifest.checkpoints) == ["baseline", "gold", *cfg.strategies]
+
+
+@needs_two_cpus
+def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
+    path = write_config(tmp_path, TINY_RUNS["patch"])
+    cfg = hn.load_config(path)
+    serial = hn.run_experiment(cfg, 7, tmp_path / "serial", config_path=path, jobs=1)
+    parent = os.getpid()
+    for name, other in (("gradient_ascent", "lora_unlearn"), ("lora_unlearn", "gradient_ascent")):
+        def met(*args, _fn=getattr(ul, name), _name=name, _other=other):
+            meet(tmp_path, _name, _other)  # GA and LoRA run in different processes
+            if os.getpid() != parent:
+                raise RuntimeError(f"{_name} broke in worker {os.getpid()}")
+            return _fn(*args)
+        monkeypatch.setattr(ul, name, met)
+    out = tmp_path / "forked"
+    manifest = hn.run_experiment(cfg, 7, out, config_path=path, jobs=2)
+    assert_no_child_left()
+    assert manifest.failed_stage is None
+    [(failed, message)] = manifest.failed_strategies.items()
+    assert failed in ("gradient_ascent", "lora")
+    assert re.fullmatch(r"RuntimeError: \w+ broke in worker \d+", message)
+    assert f"worker {parent}" not in message
+    assert manifest.wall_seconds[failed] >= 0.0
+    rows = {line.split(",")[0]: line for line in
+            (out / "results.csv").read_text(encoding="utf-8").splitlines()}
+    label = ul.POST_HOC_STRATEGIES[failed].label
+    assert rows[label] == ",".join([label] + ["failed"] * (len(hn.TABLE_COLUMNS) - 1))
+    for name in cfg.strategies:  # the siblings: the same bytes as a serial run
+        if name != failed:
+            assert (Path(manifest.checkpoints[name]).read_bytes()
+                    == Path(serial.checkpoints[name]).read_bytes()), name
+
+
+@needs_two_cpus
+def test_worker_that_dies_fails_the_stage(tmp_path, monkeypatch):
+    parent = os.getpid()
+    for name, other in (("train_baseline", "train_gold"), ("train_gold", "train_baseline")):
+        def met(*args, _fn=getattr(hn, name), _name=name, _other=other):
+            meet(tmp_path, _name, _other)
+            if os.getpid() != parent:
+                os._exit(3)
+            return _fn(*args)
+        monkeypatch.setattr(hn, name, met)
+    out = tmp_path / "run"
+    with pytest.raises(ChildProcessError, match="died"):
+        hn.run_experiment(hn.load_config(write_config(tmp_path, TINY_PATCH)), 7, out, jobs=2)
+    assert_no_child_left()
+    payload = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["failed_stage"] == "baseline"
+    assert list(payload["stage_seconds"]) == ["generate", "baseline"]
+    assert payload["checkpoints"] == {}
+
+
+def test_failed_stage_in_this_process_leaves_no_child(tmp_path, tiny_config, monkeypatch):
+    monkeypatch.setattr(fe, "evaluate_model", lambda *a, **k: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        hn.run_experiment(hn.load_config(tiny_config), 7, tmp_path / "run")
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs, cpus", [(1, {0, 1}), (None, {0})])
+def test_one_job_or_one_cpu_forks_nothing(tmp_path, tiny_config, monkeypatch, jobs, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    manifest = hn.run_experiment(hn.load_config(tiny_config), 7, tmp_path / "run", jobs=jobs)
+    assert manifest.failed_stage is None and not manifest.failed_strategies
 
 
 # ---------------------------------------------------------------------------
@@ -899,6 +1015,19 @@ def test_cli_scrub_teacher_must_fit_student(tmp_path, capsys, flag):
     assert "narrow.ckpt" in err and "internal error" not in err
 
 
+def test_cli_lora_refuses_a_baseline_that_carries_adapters(tiny_config, tmp_path, capsys):
+    first = tmp_path / "first"
+    common = ["unlearn", "--config", str(tiny_config), "--strategy", "lora"]
+    assert cli.main([*common, "--out", str(first)]) == 0
+    capsys.readouterr()
+    code = cli.main([*common, "--baseline", str(first / "lora.ckpt"),
+                     "--out", str(tmp_path / "second")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lora.ckpt" in err and "adapters" in err and "internal error" not in err
+    assert not (tmp_path / "second" / "lora.ckpt").exists()
+
+
 def test_cli_unlearn_writes_checkpoint(tiny_config, tmp_path, capsys):
     out = tmp_path / "u"
     assert cli.main(["unlearn", "--config", str(tiny_config), "--strategy",
@@ -1017,8 +1146,9 @@ def test_pipeline_calls_traced_functions_through_their_modules(tmp_path, monkeyp
             monkeypatch.setattr(module, name, functools.wraps(getattr(module, name))(counted))
     for kind, text in TINY_RUNS.items():
         path = write_config(tmp_path, text, f"{kind}.cfg")
+        # jobs=1: the counters live in this process, not in forked workers.
         manifest = hn.run_experiment(hn.load_config(path), 7, tmp_path / kind,
-                                     config_path=path)
+                                     config_path=path, jobs=1)
         assert not manifest.failed_strategies
     assert calls == {
         "gen_patch_bias": 1, "gen_attribute_bias": 1, "gen_pose_bias": 1,
