@@ -107,8 +107,7 @@ def cmd_unlearn(args) -> int:
     strategy = ul.POST_HOC_STRATEGIES[args.strategy]
     bundle = hn.build_bundle(cfg, args.seed)
     baseline = _load_or_train_baseline(cfg, bundle, args)
-    refused = [name for name in strategy.refuses if getattr(baseline, name)]
-    if refused:  # only a loaded checkpoint can carry them
+    if refused := [name for name in strategy.refuses if getattr(baseline, name)]:
         raise hn.UserError(f"baseline checkpoint {args.baseline}: {args.strategy} "
                            f"cannot start from a model with {', '.join(refused)}")
     gold = None

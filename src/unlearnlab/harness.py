@@ -204,8 +204,7 @@ def _train_config(cfg: ExperimentConfig, seed: int) -> md.TrainConfig:
 @contextlib.contextmanager
 def clock(into: dict, key: str):
     """Write the wall seconds of the with-block into into[key], also when it
-    raises. The library reads the clock here and nowhere else; a task that
-    _fork_join runs in a child reads it there and sends the seconds back."""
+    raises. The library reads the clock here and nowhere else."""
     t0 = time.perf_counter()
     try:
         yield
@@ -213,14 +212,11 @@ def clock(into: dict, key: str):
         into[key] = time.perf_counter() - t0
 
 
-def _fork_join(tasks: dict, jobs: int | None, seconds: dict) -> tuple[dict, dict]:
-    """({name: value}, {name: exception}) of tasks' thunks, in tasks' order;
-    seconds[name] gets each one's wall seconds. This process and up to
-    jobs - 1 forked children (at most the usable CPUs, which None means) take
-    the tasks in order from one pipe; a child pickles back only its outcomes.
-    Every child is reaped before this returns or raises, and one that dies
-    raises ChildProcessError. jobs <= 1, or a platform without
-    os.sched_getaffinity (Linux has it, and os.fork), forks nothing."""
+def _fork_join(tasks: dict, seconds: dict) -> tuple[dict, dict]:
+    """({name: value}, {name: exception}) of tasks' thunks, in tasks' order,
+    from this process and one forked child per further usable CPU; seconds
+    gets each one's wall seconds. A child that dies raises ChildProcessError;
+    every child is reaped before this returns or raises."""
     names = list(tasks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     todo, feed = os.pipe()
@@ -239,20 +235,25 @@ def _fork_join(tasks: dict, jobs: int | None, seconds: dict) -> tuple[dict, dict
 
     children = {}
     try:
-        for _ in range(min(cpus if jobs is None else jobs, cpus, len(names)) - 1):
+        for _ in range(min(cpus, len(names)) - 1):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child never returns to the caller
-                status = 1
+            try:
+                pid = os.fork()
+            except OSError:  # no room for a worker: the processes there take the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # the child never returns to the caller
                 try:
                     with os.fdopen(write, "wb") as sink:
                         work()
                         pickle.dump((values, errors, wall), sink)
-                    status = 0
+                    os._exit(0)
                 except BaseException:  # noqa: BLE001 - report, then exit
                     import traceback  # only a dying worker needs it
                     traceback.print_exc()
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             os.close(write)
             children[pid] = read
         work()
@@ -264,7 +265,6 @@ def _fork_join(tasks: dict, jobs: int | None, seconds: dict) -> tuple[dict, dict
     for payload, code in children.values():
         if code != 0:
             raise ChildProcessError(f"a worker died with exit code {code} before reporting")
-        # Unpickle only what this function's own children wrote.
         for mine, theirs in zip((values, errors, wall), pickle.loads(payload)):
             mine.update(theirs)
     seconds.update((name, wall[name]) for name in names)
@@ -477,18 +477,16 @@ class RunManifest:
 
 
 def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
-                   config_path=None, jobs: int | None = None) -> RunManifest:
+                   config_path=None) -> RunManifest:
     """generate -> baseline -> gold -> strategies -> evaluate -> Co-BUM -> emit.
 
     Every strategy gets the in-memory baseline (and SCRUB the gold model as
     teacher) and works on its own copy, so sibling strategies never see each
-    other's updates. Baseline and gold train side by side, then the
-    strategies run, in up to jobs processes (_fork_join); no byte but the
-    manifest's depends on jobs. A failing strategy becomes a "failed" table
-    row; a failing stage aborts the run but leaves the manifest and any
-    partial artifacts behind. The manifest takes every stage's, training
-    run's and strategy's wall seconds from clock, failed ones included; its
-    "baseline" stage spans both trainings, and "gold" saves gold's checkpoint.
+    other's updates. Baseline and gold, then the strategies, run side by side
+    (_fork_join). A failing strategy becomes a "failed" table row; a failing
+    stage aborts the run but leaves the manifest and any partial artifacts
+    behind. The manifest takes every stage's, training run's and strategy's
+    wall seconds from clock, failed ones included.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -524,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     with stage("baseline"):
         trained, failed = _fork_join(
             {"baseline": lambda: train_baseline(cfg, bundle, master_seed),
-             "gold": lambda: train_gold(cfg, bundle, master_seed)}, jobs, manifest.wall_seconds)
+             "gold": lambda: train_gold(cfg, bundle, master_seed)}, manifest.wall_seconds)
         if "baseline" in failed:
             raise failed["baseline"]
         baseline, _, baseline_units = trained["baseline"]
@@ -540,7 +538,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         results, failed = _fork_join(
             {name: functools.partial(run_strategy, name, cfg, bundle, baseline, gold.model,
                                      master_seed) for name in cfg.strategies},
-            jobs, manifest.wall_seconds)
+            manifest.wall_seconds)
         for name, e in failed.items():
             manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
         for name, result in results.items():

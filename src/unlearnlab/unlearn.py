@@ -179,10 +179,8 @@ def gradient_ascent(
             p.data = p.data + cfg.eta * g.data
         cost += len(forget) + batch
 
-        # The forward checks every node, so a non-finite parameter raises;
-        # an overflow on the way there is the guard's to report, not numpy's.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+        try:  # the forward checks every node, so a non-finite parameter raises
+            with np.errstate(over="ignore", invalid="ignore"):  # and numpy says nothing
                 post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
         except ad.NonFiniteError:
             post = math.nan

@@ -5,6 +5,7 @@ of work; the shipped configs are exercised by the acceptance suite."""
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -68,6 +69,11 @@ def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make run_experiment see n usable CPUs, so use n processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +636,8 @@ def test_run_experiment_reads_no_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(md, "load_checkpoint", lambda path: loads.append(path))
     path = write_config(tmp_path, TINY_RUNS["patch"])
     cfg = hn.load_config(path)
-    # jobs=1: a load in a forked worker would not reach this process's list.
-    manifest = hn.run_experiment(cfg, 7, tmp_path / "run", config_path=path, jobs=1)
+    use_cpus(monkeypatch, 1)  # a load in a forked worker would not reach this list
+    manifest = hn.run_experiment(cfg, 7, tmp_path / "run", config_path=path)
     assert set(cfg.strategies) == set(ul.POST_HOC_STRATEGIES)
     assert not manifest.failed_strategies
     assert loads == []
@@ -673,11 +679,6 @@ def test_failed_stage_writes_manifest_and_reraises(tmp_path, tiny_config, monkey
 # Forked workers.
 # ---------------------------------------------------------------------------
 
-needs_two_cpus = pytest.mark.skipif(
-    len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
-    reason="forked workers need two usable CPUs")
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -700,11 +701,13 @@ def meet(where: Path, name: str, *others: str) -> None:
 
 
 @pytest.mark.parametrize("seed", [7, 8])
-def test_jobs_one_and_default_write_identical_files(tmp_path, seed):
+def test_one_and_two_cpus_write_identical_files(tmp_path, monkeypatch, seed):
     path = write_config(tmp_path, TINY_RUNS["patch"])
     cfg = hn.load_config(path)
     assert set(cfg.strategies) == set(ul.POST_HOC_STRATEGIES)
-    serial = hn.run_experiment(cfg, seed, tmp_path / "serial", config_path=path, jobs=1)
+    use_cpus(monkeypatch, 1)
+    serial = hn.run_experiment(cfg, seed, tmp_path / "serial", config_path=path)
+    use_cpus(monkeypatch, 2)
     forked = hn.run_experiment(cfg, seed, tmp_path / "forked", config_path=path)
     assert_no_child_left()
     assert run_files(tmp_path / "serial") == run_files(tmp_path / "forked")
@@ -715,11 +718,12 @@ def test_jobs_one_and_default_write_identical_files(tmp_path, seed):
         assert list(manifest.checkpoints) == ["baseline", "gold", *cfg.strategies]
 
 
-@needs_two_cpus
 def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
     path = write_config(tmp_path, TINY_RUNS["patch"])
     cfg = hn.load_config(path)
-    serial = hn.run_experiment(cfg, 7, tmp_path / "serial", config_path=path, jobs=1)
+    use_cpus(monkeypatch, 1)
+    serial = hn.run_experiment(cfg, 7, tmp_path / "serial", config_path=path)
+    use_cpus(monkeypatch, 2)
     parent = os.getpid()
     for name, other in (("gradient_ascent", "lora_unlearn"), ("lora_unlearn", "gradient_ascent")):
         def met(*args, _fn=getattr(ul, name), _name=name, _other=other):
@@ -729,7 +733,7 @@ def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(ul, name, met)
     out = tmp_path / "forked"
-    manifest = hn.run_experiment(cfg, 7, out, config_path=path, jobs=2)
+    manifest = hn.run_experiment(cfg, 7, out, config_path=path)
     assert_no_child_left()
     assert manifest.failed_stage is None
     [(failed, message)] = manifest.failed_strategies.items()
@@ -747,8 +751,8 @@ def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
                     == Path(serial.checkpoints[name]).read_bytes()), name
 
 
-@needs_two_cpus
 def test_worker_that_dies_fails_the_stage(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 2)
     parent = os.getpid()
     for name, other in (("train_baseline", "train_gold"), ("train_gold", "train_baseline")):
         def met(*args, _fn=getattr(hn, name), _name=name, _other=other):
@@ -759,7 +763,7 @@ def test_worker_that_dies_fails_the_stage(tmp_path, monkeypatch):
         monkeypatch.setattr(hn, name, met)
     out = tmp_path / "run"
     with pytest.raises(ChildProcessError, match="died"):
-        hn.run_experiment(hn.load_config(write_config(tmp_path, TINY_PATCH)), 7, out, jobs=2)
+        hn.run_experiment(hn.load_config(write_config(tmp_path, TINY_PATCH)), 7, out)
     assert_no_child_left()
     payload = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert payload["failed_stage"] == "baseline"
@@ -774,12 +778,36 @@ def test_failed_stage_in_this_process_leaves_no_child(tmp_path, tiny_config, mon
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("jobs, cpus", [(1, {0, 1}), (None, {0})])
-def test_one_job_or_one_cpu_forks_nothing(tmp_path, tiny_config, monkeypatch, jobs, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+def test_one_cpu_forks_nothing(tmp_path, tiny_config, monkeypatch):
+    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    manifest = hn.run_experiment(hn.load_config(tiny_config), 7, tmp_path / "run", jobs=jobs)
+    manifest = hn.run_experiment(hn.load_config(tiny_config), 7, tmp_path / "run")
     assert manifest.failed_stage is None and not manifest.failed_strategies
+
+
+@pytest.mark.parametrize("forks", [0, 1])
+def test_failed_fork_leaves_its_tasks_to_the_processes_there(tmp_path, monkeypatch, forks):
+    # forks forks succeed, then the next raises: the run still succeeds, with
+    # the same files as a serial run, and the failed fork's pipe is closed.
+    path = write_config(tmp_path, TINY_RUNS["patch"])
+    cfg = hn.load_config(path)
+    use_cpus(monkeypatch, 1)
+    hn.run_experiment(cfg, 7, tmp_path / "serial", config_path=path)
+    use_cpus(monkeypatch, forks + 2)
+    left = [forks]
+
+    def fork(_fork=os.fork):
+        if left[0] == 0:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        left[0] -= 1
+        return _fork()
+    monkeypatch.setattr(os, "fork", fork)
+    open_fds = len(os.listdir("/dev/fd"))
+    manifest = hn.run_experiment(cfg, 7, tmp_path / "forked", config_path=path)
+    assert_no_child_left()
+    assert len(os.listdir("/dev/fd")) == open_fds
+    assert manifest.failed_stage is None and not manifest.failed_strategies
+    assert run_files(tmp_path / "serial") == run_files(tmp_path / "forked")
 
 
 # ---------------------------------------------------------------------------
@@ -1137,6 +1165,7 @@ TINY_RUNS = {
 
 
 def test_pipeline_calls_traced_functions_through_their_modules(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 1)  # the counters live in this process, not in workers
     calls = {name: 0 for names in TRACED.values() for name in names}
     for module, names in TRACED.items():
         for name in names:
@@ -1146,9 +1175,8 @@ def test_pipeline_calls_traced_functions_through_their_modules(tmp_path, monkeyp
             monkeypatch.setattr(module, name, functools.wraps(getattr(module, name))(counted))
     for kind, text in TINY_RUNS.items():
         path = write_config(tmp_path, text, f"{kind}.cfg")
-        # jobs=1: the counters live in this process, not in forked workers.
         manifest = hn.run_experiment(hn.load_config(path), 7, tmp_path / kind,
-                                     config_path=path, jobs=1)
+                                     config_path=path)
         assert not manifest.failed_strategies
     assert calls == {
         "gen_patch_bias": 1, "gen_attribute_bias": 1, "gen_pose_bias": 1,
