@@ -11,10 +11,15 @@ pair its own (``--seed``, ``--seed + 1``, ...). The result line of every run
 is parsed, and ``BENCH_<pr>.json`` records, per workload and end-to-end
 metric, each side's runs with their median and quartiles, how many pairs
 each side won (ties count for neither), and whether the median gap exceeds
-the parent's quartile spread. It also records the environment the runs
-reported (nproc, numpy, BLAS and its thread settings) and each checkout's
-commit, with whether its tree differs from that commit. Metric directions and
-bounds come from the change's ``BENCHMARK.json``.
+the parent's quartile spread. Two flags read each metric against its bound:
+``within_bound`` when the change's median is worse than the parent's by at
+most the bound (a fraction of the parent's median), and ``unresolved`` when
+the parent's own quartile spread is wider than that, so the runs cannot tell,
+unless every run of the change beat every run of the parent. It also records
+the environment the runs reported (nproc, numpy, BLAS and its thread
+settings) and each checkout's commit, with whether its tree differs from that
+commit. Metric directions and bounds come from the change's
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -76,13 +81,17 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     sign = 1.0 if spec["better"] == "higher" else -1.0
     p, c = summary(parent), summary(change)
     gap = sign * (c["median"] - p["median"])
+    iqr, allowed = p["q3"] - p["q1"], spec["bound"] * abs(p["median"])
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c,
         "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
         "parent_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
         "change_over_parent": c["median"] / p["median"] if p["median"] else None,
-        "gap_exceeds_parent_iqr": gap > p["q3"] - p["q1"],
+        "gap_exceeds_parent_iqr": gap > iqr,
+        "within_bound": gap >= -allowed,
+        "unresolved": iqr > allowed and not min(sign * b for b in change) > max(
+            sign * a for a in parent),
     }
 
 

@@ -728,13 +728,19 @@ def cg_solve(
     semidefinite for the damped system to be SPD. Stops when the residual norm
     falls to tol * ||rhs|| or after max_iter iterations, and reports which.
     Non-positive curvature along a search direction raises IndefiniteError; a
-    NaN or infinity raises NonFiniteError.
+    NaN or infinity raises NonFiniteError. A damping or tol that is negative
+    or not finite, or a negative max_iter, raises ValueError.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.ndim != 1:
         raise ShapeError(f"cg_solve: rhs must be 1-d, got shape {rhs.shape}")
-    if damping < 0:
-        raise ValueError("cg_solve: damping must be non-negative")
+    # NaN passes every ordered comparison, and a negative tol makes even an
+    # exact solve look unconverged, so CG would run on into breakdown.
+    for name, value in (("damping", damping), ("tol", tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"cg_solve: {name} must be finite and non-negative, got {value}")
+    if max_iter < 0:
+        raise ValueError(f"cg_solve: max_iter must be non-negative, got {max_iter}")
 
     def matvec(p: np.ndarray) -> np.ndarray:
         hp = np.asarray(apply_h(p), dtype=np.float64)

@@ -17,7 +17,10 @@ iterations).
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -371,6 +374,12 @@ class InfluenceResult:
     residual_norm: float
 
 
+# bias_measure -> (digest of everything its last damped solve read, that
+# solve). Keyed on the measure object, not its content, so a new measure
+# always solves afresh.
+_SOLVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def influence(
     model: md.ModelParams,
     sample: np.record,
@@ -389,10 +398,32 @@ def influence(
     as loss_closure(model, ..., scope). CG non-convergence is reported via
     the flags; indefinite curvature, which damping can fail to cover with
     scope "all", raises autodiff.IndefiniteError.
+
+    The damped solve (H + damping*I)^{-1} grad(B) does not read the sample,
+    so rows scored against one live measure object share one solve. It is
+    reused while the effective weights, the training rows, grad(B) (taken
+    afresh each call), the head, scope, damping, max_iter and tol stay
+    bitwise equal, and solved again otherwise; a measure that cannot be
+    weakly referenced solves on every call. Either way the bits match a
+    fresh solve.
     """
-    theta0, train_fn = loss_closure(model, train_samples, scope)
+    theta0, _ = md.flat_param_closure(model, scope)
     g_bias = _flat_grad(bias_measure, theta0)
-    solve = _damped_solve(train_fn, theta0, g_bias, damping, max_iter, tol)
+    h = hashlib.sha256(repr((scope, model.head, damping, max_iter, tol)).encode())
+    weights = [t.data for W, b in md.effective_weights(model) for t in (W, b)]
+    for a in (*weights, *bg.stack(train_samples)[:2], g_bias):
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a))
+    digest = h.digest()
+    try:
+        seen, solve = _SOLVES[bias_measure]
+    except (KeyError, TypeError):  # TypeError: not weakly referenceable
+        seen = None
+    if seen != digest:
+        _, train_fn = loss_closure(model, train_samples, scope)
+        solve = _damped_solve(train_fn, theta0, g_bias, damping, max_iter, tol)
+        with contextlib.suppress(TypeError):
+            _SOLVES[bias_measure] = (digest, solve)
     _, sample_fn = loss_closure(model, sample, scope)
     value = -float(_flat_grad(sample_fn, theta0) @ solve.x)
     return InfluenceResult(value, solve.converged, solve.iterations, solve.residual_norm)

@@ -757,3 +757,23 @@ def test_cg_nonfinite_curvature_is_nonfinite_error():
 def test_cg_rejects_negative_damping():
     with pytest.raises(ValueError):
         ad.cg_solve(lambda p: p, np.ones(2), damping=-1.0)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("tol", -1.0), ("tol", float("nan")), ("tol", float("inf")),
+    ("max_iter", -3), ("damping", float("nan")), ("damping", float("inf")),
+])
+def test_cg_rejects_settings_it_cannot_honour(setting, value):
+    # Unchecked, tol -1 or NaN ran past an exact solve into IndefiniteError,
+    # tol inf and max_iter -3 returned x = 0 (inf calling it converged), and
+    # damping NaN raised NonFiniteError.
+    with pytest.raises(ValueError, match=f"cg_solve: {setting} must be"):
+        ad.cg_solve(lambda p: 2.0 * p, np.ones(3), **{setting: value})
+
+
+def test_cg_accepts_zero_tol_and_zero_iterations():
+    exact = ad.cg_solve(lambda p: 2.0 * p, np.ones(3), damping=0.0, tol=0.0)
+    assert exact.converged and exact.iterations == 1 and exact.residual_norm == 0.0
+    assert exact.x.tolist() == [0.5, 0.5, 0.5]
+    none = ad.cg_solve(lambda p: 2.0 * p, np.ones(3), max_iter=0)
+    assert not none.converged and none.iterations == 0 and not none.x.any()

@@ -1,0 +1,48 @@
+"""scripts/bench_pairs.py's comparison of one metric's parent and change runs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+HIGHER = {"unit": "1/s", "better": "higher", "bound": 0.25}
+LOWER = {"unit": "s", "better": "lower", "bound": 0.25}
+
+
+def flags(spec, parent, change):
+    out = bench_pairs.compare(spec, parent, change)
+    return out["within_bound"], out["unresolved"]
+
+
+@pytest.mark.parametrize("spec, parent, change, within, unresolved", [
+    # Parent median 101.5, spread 1.5: a 20% loss is within the 25% bound,
+    # a 30% loss is not, and both are resolved.
+    (HIGHER, [100, 101, 102, 103], [80, 81, 82, 83], True, False),
+    (HIGHER, [100, 101, 102, 103], [70, 71, 72, 73], False, False),
+    (LOWER, [100, 101, 102, 103], [125, 126, 127, 128], True, False),
+    (LOWER, [100, 101, 102, 103], [128, 129, 130, 131], False, False),
+    # Parent median 2.5 with quartiles 1.75-3.25: a spread of 60%, wider
+    # than the bound, so only a change that beat every parent run resolves.
+    (LOWER, [1, 2, 3, 4], [2, 2.5, 3, 3.5], True, True),
+    (LOWER, [1, 2, 3, 4], [0.1, 0.2, 0.3, 0.9], True, False),
+    (LOWER, [1, 2, 3, 4], [0.1, 0.2, 0.3, 1.0], True, True),  # a tie is no win
+    (HIGHER, [1, 2, 3, 4], [4.5, 5, 6, 7], True, False),
+    (HIGHER, [1, 2, 3, 4], [0.5, 1, 1.5, 2], False, True),
+])
+def test_compare_flags_each_metric_against_its_bound(spec, parent, change, within,
+                                                     unresolved):
+    assert flags(spec, parent, change) == (within, unresolved)
+
+
+def test_compare_counts_wins_and_the_gap_against_the_parent_spread():
+    out = bench_pairs.compare(LOWER, [100, 101, 102, 103], [90, 102, 92, 93])
+    assert (out["change_wins"], out["parent_wins"]) == (3, 1)
+    assert out["parent"]["median"] == 101.5 and out["change"]["median"] == 92.5
+    assert out["gap_exceeds_parent_iqr"] and out["change_over_parent"] == 92.5 / 101.5
