@@ -7,6 +7,8 @@ Prints one `config@seed ok|MISMATCH` line per run and exits 1 on any mismatch.
 Then prints one sha256 over every file the runs wrote except manifest.json,
 which alone holds wall-clock times and paths: two checkouts that write the
 same bytes print the same line, so their outputs compare with `diff`.
+Then it prints one sha256 over the `saliency.csv` that the `saliency`
+subcommand writes for each run's baseline on the test split.
 Last, it runs perfbench's `influence` ops at workload seeds 1 and 2 and prints
 one sha256 over every (op key, verified result): the influence values, CG
 iterations and convergence flags, to the last bit. Last of all it prints the
@@ -17,7 +19,9 @@ line count of the Python modules in src/unlearnlab.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -30,6 +34,7 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     sys.dont_write_bytecode = True  # leave no cache files under perfbench/
     import workloads
+    from unlearnlab import cli
     from unlearnlab import harness as hn
 
     reference = workloads.load_reference()
@@ -55,11 +60,26 @@ def main() -> int:
                 digest.update(str(path.relative_to(tmp)).encode() + b"\0")
                 digest.update(path.read_bytes())
         print(f"all files but manifest.json: sha256 {digest.hexdigest()}")
+        print(f"saliency of the baselines: sha256 {saliency_digest(cli, Path(tmp))}")
         print(f"influence at seeds 1-2: sha256 {influence_digest(workloads, Path(tmp))}")
     package = ROOT / "src" / "unlearnlab"
     lines = sum(len(p.read_bytes().splitlines()) for p in package.glob("*.py"))
     print(f"src/unlearnlab: {lines} lines")
     return 1 if failed else 0
+
+
+def saliency_digest(cli, work: Path) -> str:
+    digest = hashlib.sha256()
+    for config in sorted((ROOT / "configs").glob("*.cfg")):
+        for seed in SEEDS:
+            run, out = work / f"{config.stem}@{seed}", work / f"saliency-{config.stem}@{seed}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["saliency", "--config", str(config), "--seed", str(seed),
+                                 "--checkpoint", str(run / "baseline.ckpt"), "--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"saliency of {run.name} exited {code}")
+            digest.update((out / "saliency.csv").read_bytes())
+    return digest.hexdigest()
 
 
 def influence_digest(workloads, work: Path) -> str:

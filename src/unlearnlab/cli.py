@@ -107,21 +107,18 @@ def cmd_unlearn(args) -> int:
     strategy = ul.POST_HOC_STRATEGIES[args.strategy]
     bundle = hn.build_bundle(cfg, args.seed)
     baseline = _load_or_train_baseline(cfg, bundle, args)
-    if refused := [name for name in strategy.refuses if getattr(baseline, name)]:
-        raise hn.UserError(f"baseline checkpoint {args.baseline}: {args.strategy} "
-                           f"cannot start from a model with {', '.join(refused)}")
     gold = None
     if strategy.needs_teacher:
         gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold
                 else hn.train_gold(cfg, bundle, args.seed).model)
-        if (gold.layer_sizes, gold.head) != (baseline.layer_sizes, baseline.head):
-            given = " and ".join(filter(None, (args.baseline, args.gold)))
-            raise hn.UserError(
-                f"checkpoint {given}: teacher {gold.layer_sizes}/{gold.head} does not "
-                f"fit student {baseline.layer_sizes}/{baseline.head}")
     seconds = {}
-    with hn.clock(seconds, "unlearn"):
-        result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)
+    try:
+        with hn.clock(seconds, "unlearn"):
+            result = hn.run_strategy(args.strategy, cfg, bundle, baseline, gold, args.seed)
+    except ValueError as e:  # the strategy rejects what it was given
+        given = ", ".join(f"--{flag} {path}" for flag, path in (
+            ("config", args.config), ("baseline", args.baseline), ("gold", args.gold)) if path)
+        raise hn.UserError(f"{args.strategy} rejects its inputs ({given}): {e}") from e
     out = _out_dir(args, f"{cfg.name}-seed{args.seed}-{args.strategy}")
     path = hn.save_model(result.model, out, args.strategy)
     note = " (truncated by divergence guard)" if result.truncated else ""
@@ -149,7 +146,11 @@ def cmd_cobum(args) -> int:
     unlearned = hn.load_report(args.unlearned)
     gold = hn.load_report(args.gold_report)
     baseline = hn.load_report(args.baseline_report)
-    scored = cb.score_reports(unlearned, gold, baseline, params)
+    try:
+        scored = cb.score_reports(unlearned, gold, baseline, params)
+    except ValueError as e:  # reports that leave a component undefined
+        raise hn.UserError(f"cannot score {args.unlearned} against gold {args.gold_report} "
+                           f"and baseline {args.baseline_report}: {e}") from e
     parts = " ".join(f"{k}={scored.clamped[k]:.4f}" for k in cb.COMPONENTS)
     print(f"{parts} Co-BUM={scored.composite:.4f}")
     hn.write_json(_out_dir(args, "cobum") / "cobum.json", dataclasses.asdict(scored))
@@ -178,9 +179,9 @@ def cmd_saliency(args) -> int:
     path = _out_dir(args, f"{cfg.name}-seed{args.seed}-saliency") / "saliency.csv"
     cols = bg.bundle_header(bundle.d_s, bundle.d_b)[: bundle.d_s + bundle.d_b]
     lines = [",".join(["index", "label", "group"] + cols)]
-    for i, smp in enumerate(samples):
-        lines.append(",".join([str(i), str(smp.label), str(smp.group)]
-                              + [f"{v:.6f}" for v in fe.saliency(model, smp)]))
+    for i, (label, group, row) in enumerate(zip(samples.label, samples.group,
+                                                fe.saliency(model, samples))):
+        lines.append(",".join([str(i), str(label), str(group)] + [f"{v:.6f}" for v in row]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"saliency: {path} ({len(samples)} rows from {args.split})")
     return 0

@@ -105,9 +105,16 @@ def component_scores(
     identical runs score identically. Q's denominator is max(FA_g, epsilon):
     a gold model with exactly zero forget accuracy leaves the plain ratio
     undefined, and with the floor any nonzero FA_u scores maximally bad while
-    FA_u = 0 scores 1, the continuous limit.
+    FA_u = 0 scores 1, the continuous limit. Any report's FA or MIA being
+    NaN (an empty forget set) leaves Q and P undefined and raises
+    ValueError, as do gold RA or TA at or below zero and a DP, EO or MIA
+    that baseline and gold share.
     """
     params = params or CoBumParams()
+    for role, report in (("unlearned", report_u), ("gold", report_gold),
+                         ("baseline", report_base)):
+        if math.isnan(report.fa) or math.isnan(report.mia_auc):
+            raise ValueError(f"{role} FA or MIA is NaN; forgetting cannot be scored")
     fa_gold = max(report_gold.fa, params.epsilon)
     for name, value in (("RA", report_gold.ra), ("TA", report_gold.ta)):
         if value <= 0.0:

@@ -152,13 +152,13 @@ def bias_gradient_ratio(model: md.ModelParams, samples: np.recarray, d_s: int) -
     return float(np.mean(b_norm / (s_norm + 1e-12)))
 
 
-def saliency(model: md.ModelParams, sample: np.record) -> np.ndarray:
-    """Per-feature |d(winning logit)/d x|, scaled to unit maximum."""
-    grads = np.abs(_winning_logit_input_grads(model, bg.stack(sample)[0])[0])
-    top = grads.max()
-    if top == 0.0:
-        return grads
-    return grads / top
+def saliency(model: md.ModelParams, samples: np.recarray) -> np.ndarray:
+    """Per-feature |d(winning logit)/d x|, one row per record from one
+    batched backward pass, each row scaled to unit maximum; an all-zero row
+    stays zero."""
+    grads = np.abs(_winning_logit_input_grads(model, bg.stack(samples)[0]))
+    top = grads.max(axis=1, keepdims=True)
+    return np.divide(grads, top, out=np.zeros_like(grads), where=top > 0.0)
 
 
 # ---------------------------------------------------------------------------

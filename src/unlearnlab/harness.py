@@ -348,14 +348,19 @@ def _fmt_drop(value) -> str:
     return f"{value:.2f}"
 
 
+def _fmt_defined(value) -> str:
+    # NaN: an empty D_f leaves FA and MIA undefined.
+    return "--" if math.isnan(value) else f"{value:.4f}"
+
+
 # Each column between Method and Co-BUM: name (↓: better smaller), EvalReport field, format.
 _REPORT_COLUMNS = (
-    ("FA ↓", "fa", "{:.4f}".format),
+    ("FA ↓", "fa", _fmt_defined),
     ("RA ↑", "ra", "{:.4f}".format),
     ("TA ↑", "ta", "{:.4f}".format),
     ("DP% ↑", "dp_drop_pct", _fmt_drop),
     ("EO% ↑", "eo_drop_pct", _fmt_drop),
-    ("MIA ↓", "mia_auc", "{:.4f}".format),
+    ("MIA ↓", "mia_auc", _fmt_defined),
     ("Time ↓", "time_units", "{:.0f}".format),
 )
 TABLE_COLUMNS = ("Method", *(name for name, _, _ in _REPORT_COLUMNS), "Co-BUM ↑")
@@ -483,7 +488,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     Every strategy gets the in-memory baseline (and SCRUB the gold model as
     teacher) and works on its own copy, so sibling strategies never see each
     other's updates. Baseline and gold, then the strategies, run side by side
-    (_fork_join). A failing strategy becomes a "failed" table row; a failing
+    (_fork_join). A failing strategy becomes a "failed" table row, and one
+    whose reports Co-BUM cannot score gets null in cobum.json; a failing
     stage aborts the run but leaves the manifest and any partial artifacts
     behind. The manifest takes every stage's, training run's and strategy's
     wall seconds from clock, failed ones included.
@@ -555,11 +561,13 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         manifest.reports["eval_json"] = str(eval_path)
 
     with stage("cobum"):
-        scores = {name: cb.score_reports(reports[name], reports["gold"],
-                                         reports["baseline"], cfg.cobum_params)
-                  for name in results}
-        cobum_path = write_json(out / "cobum.json",
-                                {name: dataclasses.asdict(s) for name, s in scores.items()})
+        scores = dict.fromkeys(results)  # None: reports that leave a component undefined
+        for name in results:
+            with contextlib.suppress(ValueError):
+                scores[name] = cb.score_reports(reports[name], reports["gold"],
+                                                reports["baseline"], cfg.cobum_params)
+        cobum_path = write_json(out / "cobum.json", {
+            name: None if s is None else dataclasses.asdict(s) for name, s in scores.items()})
         manifest.reports["cobum_json"] = str(cobum_path)
 
     with stage("emit"):
@@ -569,7 +577,8 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
             if name in manifest.failed_strategies:
                 rows.append(TableRow(label, error=manifest.failed_strategies[name]))
             else:
-                rows.append(TableRow(label, reports[name], cobum_score=scores[name].composite))
+                rows.append(TableRow(label, reports[name], cobum_score=getattr(
+                    scores[name], "composite", None)))
         for fmt, suffix in (("csv", "csv"), ("json", "json"), ("markdown", "md")):
             manifest.reports[fmt] = str(emit_table(rows, fmt, out / f"results.{suffix}"))
 

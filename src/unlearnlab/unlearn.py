@@ -79,10 +79,16 @@ class UnlearnResult:
     extra: dict = field(default_factory=dict)
 
 
-def _mean_loss(model: md.ModelParams, samples: np.recarray) -> float:
-    if not len(samples):
+def _forget_retain(bundle: bg.DataBundle) -> tuple:
+    """(Xf, yf, Xr, yr): the inputs and labels of D_f and of D_r."""
+    Xf, yf, _, _ = bg.stack(bg.forget_samples(bundle))
+    Xr, yr, _, _ = bg.stack(bg.retain_samples(bundle))
+    return Xf, yf, Xr, yr
+
+
+def _mean_loss(model: md.ModelParams, X: np.ndarray, y: np.ndarray) -> float:
+    if not len(X):
         return float("nan")
-    X, y, _, _ = bg.stack(samples)
     return float(np.mean(md.per_sample_loss(model, X, y)))
 
 
@@ -119,19 +125,18 @@ def hard_unlearn(
     head: str = "softmax",
 ) -> UnlearnResult:
     """Fresh-initialized model trained on D_r only; the retraining oracle."""
-    retain = bg.retain_samples(bundle)
-    if not len(retain):
+    Xf, yf, Xr, yr = _forget_retain(bundle)
+    if not len(Xr):
         raise ValueError("hard_unlearn: empty retain set")
-    X, y, _, _ = bg.stack(retain)
     model = md.init_model(layer_sizes, head, train_config.seed)
-    md.train(model, (X, y), train_config)
+    md.train(model, (Xr, yr), train_config)
     log = [{
         "step": 0,
-        "forget_loss": _mean_loss(model, bg.forget_samples(bundle)),
-        "retain_loss": _mean_loss(model, retain),
+        "forget_loss": _mean_loss(model, Xf, yf),
+        "retain_loss": _mean_loss(model, Xr, yr),
     }]
     return UnlearnResult(
-        model=model, step_log=log, cost_units=float(train_config.epochs * len(retain)))
+        model=model, step_log=log, cost_units=float(train_config.epochs * len(Xr)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +153,12 @@ def gradient_ascent(
     forget loss past FORGET_LOSS_CEILING or any parameter non-finite, that
     update is undone and the result is flagged truncated.
     """
-    forget = bg.forget_samples(bundle)
-    retain = bg.retain_samples(bundle)
-    if not len(forget):
+    Xf, yf, Xr, yr = _forget_retain(bundle)
+    if not len(Xf):
         raise ValueError("gradient_ascent: empty forget set")
-    if not len(retain):
+    if not len(Xr):
         raise ValueError("gradient_ascent: empty retain set")
-    Xf, yf, _, _ = bg.stack(forget)
-    Xr, yr, _, _ = bg.stack(retain)
-    batch = min(len(forget), len(retain))
+    batch = min(len(Xf), len(Xr))
     rng = np.random.default_rng(cfg.seed)
 
     work = md.copy_model(model)
@@ -173,14 +175,14 @@ def gradient_ascent(
     cost = 0.0
     truncated = False
     for step in range(cfg.steps):
-        idx = rng.choice(len(retain), size=batch, replace=False)
+        idx = rng.choice(len(Xr), size=batch, replace=False)
         # Updates rebind .data and nothing writes into it, so the arrays
         # themselves are the snapshot.
         snapshot = [p.data for p in params]
         objective, loss_f, loss_r = plan.forward(Xr[idx], Tr[idx])
         for p, g in zip(params, plan.grad(objective)):
             p.data = p.data + cfg.eta * g.data
-        cost += len(forget) + batch
+        cost += len(Xf) + batch
 
         try:  # the forward checks every node, so a non-finite parameter raises
             with np.errstate(over="ignore", invalid="ignore"):  # and numpy says nothing
@@ -219,13 +221,10 @@ def lora_unlearn(
     """
     if model.adapters:
         raise ValueError("lora_unlearn: model already carries adapters")
-    forget = bg.forget_samples(bundle)
-    retain = bg.retain_samples(bundle)
-    if not len(retain):
+    Xf, yf, Xr, yr = _forget_retain(bundle)
+    if not len(Xr):
         raise ValueError("lora_unlearn: empty retain set")
-    Xr, yr, _, _ = bg.stack(retain)
-    Xf, yf, _, _ = bg.stack(forget)
-    batch = min(len(retain), max(len(forget), 1))
+    batch = min(len(Xr), max(len(Xf), 1))
     rng = np.random.default_rng(cfg.seed)
 
     work = md.copy_model(model)
@@ -234,7 +233,7 @@ def lora_unlearn(
     params = md.trainable_params(work)
     opt = md.Adam(params, cfg.eta)
     Tr = md.loss_targets(yr, work.head, work.layer_sizes[-1])
-    use_forget = len(forget) > 0 and cfg.beta > 0.0
+    use_forget = len(Xf) > 0 and cfg.beta > 0.0
 
     def build(X, T):
         loss_r = md.target_loss(md.forward(work, X), T, work.head)
@@ -247,13 +246,13 @@ def lora_unlearn(
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
-        idx = rng.choice(len(retain), size=batch, replace=False)
+        idx = rng.choice(len(Xr), size=batch, replace=False)
         objective, loss_r, *loss_f = plan.forward(Xr[idx], Tr[idx])
         if use_forget:
             forget_val = float(loss_f[0].data)
-            cost += len(forget)
+            cost += len(Xf)
         else:
-            forget_val = _mean_loss(work, forget)
+            forget_val = _mean_loss(work, Xf, yf)
         opt.step([g.data for g in plan.grad(objective)])
         cost += batch
         log.append({
@@ -290,15 +289,12 @@ def scrub_unlearn(
             f"student {baseline.layer_sizes}/{baseline.head}"
         )
     head = baseline.head
-    forget = bg.forget_samples(bundle)
-    retain = bg.retain_samples(bundle)
-    if not len(retain):
+    Xf, _, Xr, yr = _forget_retain(bundle)
+    if not len(Xr):
         raise ValueError("scrub_unlearn: empty retain set")
-    Xr, yr, _, _ = bg.stack(retain)
-    Xf, yf, _, _ = bg.stack(forget)
     teacher_r = md.predict_proba(teacher, Xr)
-    teacher_f = md.predict_proba(teacher, Xf) if len(forget) else None
-    batch = min(len(retain), len(forget)) if len(forget) else min(64, len(retain))
+    teacher_f = md.predict_proba(teacher, Xf) if len(Xf) else None
+    batch = min(len(Xr), len(Xf)) if len(Xf) else min(64, len(Xr))
     rng = np.random.default_rng(cfg.seed)
 
     student = md.copy_model(baseline)
@@ -311,7 +307,7 @@ def scrub_unlearn(
         retain_kl = ad.add(md.target_loss(z_r, P, head), plogp)
         task = md.target_loss(z_r, T, head)
         keep_terms = ad.add(retain_kl, task)
-        if not len(forget):
+        if not len(Xf):
             return retain_kl, task, keep_terms
         forget_kl = ad.add(md.target_loss(md.forward(student, Xf), ad.tensor(teacher_f), head),
                            ad.tensor(md.neg_entropy(teacher_f, head)))
@@ -321,7 +317,7 @@ def scrub_unlearn(
     log: list[dict] = []
     cost = 0.0
     for step in range(cfg.steps):
-        idx = rng.choice(len(retain), size=batch, replace=False)
+        idx = rng.choice(len(Xr), size=batch, replace=False)
         P = teacher_r[idx]
         retain_kl, task, keep_terms, *forget_out = plan.forward(
             Xr[idx], Tr[idx], P, md.neg_entropy(P, head))
@@ -334,7 +330,7 @@ def scrub_unlearn(
             forget_used = min(forget_kl_val, FORGET_KL_CLIP)
             if forget_kl_val <= FORGET_KL_CLIP:
                 total = used
-                cost += len(forget)
+                cost += len(Xf)
         opt.step([g.data for g in plan.grad(total)])
         log.append({
             "step": step,
@@ -491,6 +487,7 @@ def fmd_unlearn(
     if not len(counterfactual):
         raise ValueError("fmd_unlearn: empty counterfactual set")
     work = md.copy_model(model)
+    Xf, yf, Xr, yr = _forget_retain(bundle)
     Xc, yc, _, _ = bg.stack(counterfactual)
     n_c = len(counterfactual)
 
@@ -501,19 +498,15 @@ def fmd_unlearn(
     cost = float(n_c * (1 + 2 * info.iterations))
     log: list[dict] = [{
         "step": 0,
-        "forget_loss": _mean_loss(work, bg.forget_samples(bundle)),
-        "retain_loss": _mean_loss(work, bg.retain_samples(bundle)),
+        "forget_loss": _mean_loss(work, Xf, yf),
+        "retain_loss": _mean_loss(work, Xr, yr),
         "counterfactual_loss": loss_before,
         "step_norm": info.step_norm,
     }]
 
     if cfg.finetune_steps:
         paired = bg.SCENARIOS[bundle.kind].paired_counterfactual
-        if paired:
-            params = md.trainable_params(work)
-            Xf = bg.stack(bg.forget_samples(bundle))[0]
-        else:
-            params = list(work.layers[-1])
+        params = md.trainable_params(work) if paired else list(work.layers[-1])
         opt = md.Adam(params, cfg.eta)
         for k in range(cfg.finetune_steps):
             objective = md.loss(work, Xc, yc)
@@ -543,17 +536,16 @@ def fmd_unlearn(
 class Strategy:
     """A post-hoc strategy: its table label, the StrategyConfig fields it
     reads (its config section's keys), whether it needs a counterfactual set
-    or the gold model as teacher (else it may get None), the ModelParams
-    fields it refuses to find non-empty in the model it starts from, and
-    run(model, teacher, bundle, cfg, counterfactual), which looks the
-    strategy function up on this module at each call."""
+    or the gold model as teacher (else it may get None), and run(model,
+    teacher, bundle, cfg, counterfactual), which looks the strategy function
+    up on this module at each call. The strategy function alone decides
+    which inputs it accepts: it raises ValueError on any it rejects."""
 
     label: str
     reads: tuple[str, ...]
     run: Callable[..., UnlearnResult]
     needs_counterfactual: bool = False
     needs_teacher: bool = False
-    refuses: tuple[str, ...] = ()
 
 
 POST_HOC_STRATEGIES = {
@@ -562,8 +554,7 @@ POST_HOC_STRATEGIES = {
         lambda model, teacher, bundle, cfg, d_c: gradient_ascent(model, bundle, cfg)),
     "lora": Strategy(
         "LoRA", ("eta", "beta", "rank", "steps"),
-        lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg),
-        refuses=("adapters",)),
+        lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg)),
     "scrub": Strategy(
         "SCRUB", ("eta", "steps"),
         lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg),

@@ -371,23 +371,37 @@ def test_bias_ratio_matches_per_sample_loop():
 def test_saliency_zero_model_all_zero():
     m = constant_model(5, 3, winner=0)
     m.layers[0][1].data[:] = 0.0
-    s = bg.rows(np.ones((1, 3)), np.ones((1, 2)), 0, 0, False)[0]
-    np.testing.assert_array_equal(fe.saliency(m, s), np.zeros(5))
+    s = bg.rows(np.ones((1, 3)), np.ones((1, 2)), 0, 0, False)
+    np.testing.assert_array_equal(fe.saliency(m, s)[0], np.zeros(5))
 
 
 def test_saliency_linear_model_matches_winning_row():
     m = md.init_model([5, 3], "softmax", 7)
     x = np.array([0.3, -1.2, 0.8, 0.1, -0.4])
-    s = bg.rows(x[None, :3], x[None, 3:], 0, 0, False)[0]
+    s = bg.rows(x[None, :3], x[None, 3:], 0, 0, False)
     winner = int(md.predict(m, x[None, :])[0])
     row = np.abs(m.layers[0][0].data[winner])
-    np.testing.assert_allclose(fe.saliency(m, s), row / row.max(), atol=1e-12)
+    np.testing.assert_allclose(fe.saliency(m, s)[0], row / row.max(), atol=1e-12)
+
+
+def test_saliency_batch_matches_per_row():
+    # One batched backward must equal one backward per record; a zero row stays zero.
+    m = md.init_model([6, 10, 4], "softmax", 9)
+    rng = np.random.default_rng(10)
+    samples = from_tuples([(rng.normal(size=4), rng.normal(size=2), 0) for _ in range(8)])
+    samples.s[3], samples.b[3] = 0.0, 0.0
+    m.layers[0][1].data[:] = 0.0  # no bias: the zero record has a zero-gradient ReLU
+    batch = fe.saliency(m, samples)
+    assert batch.shape == (8, 6)
+    singles = np.vstack([fe.saliency(m, samples[i : i + 1]) for i in range(len(samples))])
+    np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(batch[3], np.zeros(6))
 
 
 def test_saliency_unit_max():
     m = md.init_model([6, 8, 3], "softmax", 8)
-    s = bg.rows(np.arange(4.0)[None], np.ones((1, 2)), 0, 0, False)[0]
-    sal = fe.saliency(m, s)
+    s = bg.rows(np.arange(4.0)[None], np.ones((1, 2)), 0, 0, False)
+    sal = fe.saliency(m, s)[0]
     assert sal.shape == (6,)
     assert sal.max() == pytest.approx(1.0)
     assert (sal >= 0.0).all()

@@ -1056,6 +1056,68 @@ def test_cli_lora_refuses_a_baseline_that_carries_adapters(tiny_config, tmp_path
     assert not (tmp_path / "second" / "lora.ckpt").exists()
 
 
+def no_bias_config(tmp_path):
+    """The tiny patch run with no marked rows: D_f, and so D_c, are empty."""
+    return write_config(tmp_path, TINY_RUNS["patch"].replace(
+        "patch_fraction = 0.5", "patch_fraction = 0.0"), "nobias.cfg")
+
+
+@pytest.mark.parametrize("strategy,expect", [
+    ("lora", "rank 64"),
+    ("gradient_ascent", "empty forget set"),
+    ("fmd", "empty counterfactual set"),
+])
+def test_cli_unlearn_input_the_strategy_rejects_is_operator_error(
+        tmp_path, capsys, strategy, expect):
+    if strategy == "lora":
+        config = write_config(tmp_path, TINY_PATCH.replace("rank = 2", "rank = 64"))
+    else:
+        config = no_bias_config(tmp_path)
+    out = tmp_path / "o"
+    code = cli.main(["unlearn", "--config", str(config), "--strategy", strategy,
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert config.name in err and expect in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_run_without_a_forget_set_scores_nothing(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert cli.main(["run", "--config", str(no_bias_config(tmp_path)), "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    table = json.loads((out / "results.json").read_text(), parse_constant=reject)
+    rows = {row["Method"]: row for row in table["rows"]}
+    assert rows["GA"]["FA ↓"] == rows["FMD"]["MIA ↓"] == "failed"
+    for method in ("Baseline", "Hard", "LoRA", "SCRUB"):
+        assert rows[method]["FA ↓"] == rows[method]["MIA ↓"] == "--", method
+    assert {row["Co-BUM ↑"] for row in rows.values()} == {"--", "failed"}
+    assert json.loads((out / "cobum.json").read_text()) == {"lora": None, "scrub": None}
+
+
+@pytest.mark.parametrize("case", ["gold-is-baseline", "gold-ra-zero"])
+def test_cli_cobum_unscorable_reports_are_operator_errors(tmp_path, capsys, case):
+    paths = {}
+    gold = report(ra=0.0) if case == "gold-ra-zero" else report()
+    for name, rep in (("unlearned", report(fa=0.1)), ("gold", gold), ("base", report())):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(hn.report_to_dict(rep)))
+    if case == "gold-is-baseline":
+        paths["gold"] = paths["base"]
+    out = tmp_path / "o"
+    code = cli.main(["cobum", "--unlearned", str(paths["unlearned"]),
+                     "--gold-report", str(paths["gold"]),
+                     "--baseline-report", str(paths["base"]), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert all(path.name in err for path in paths.values())
+    assert not out.exists()
+
+
 def test_cli_unlearn_writes_checkpoint(tiny_config, tmp_path, capsys):
     out = tmp_path / "u"
     assert cli.main(["unlearn", "--config", str(tiny_config), "--strategy",
