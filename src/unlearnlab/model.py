@@ -256,6 +256,22 @@ class Adam:
             p.data = p.data - update[lo:hi].reshape(p.data.shape)
 
 
+def descend(plan: ad.StepPlan, update, batches, read, log: list[dict]) -> tuple:
+    """The one descent loop. Per tuple of arrays in batches: run plan.forward,
+    take (output, cost units, fields) = read(outputs), apply update to the
+    output's gradients and append {"step": len(log), **fields} to log. An
+    update that returns true stops the loop with that step's cost counted but
+    not logged. Returns (log, cost, truncated)."""
+    cost = 0.0
+    for arrays in batches:
+        output, units, fields = read(plan.forward(*arrays))
+        cost += units
+        if update([g.data for g in plan.grad(output)]):
+            return log, cost, True
+        log.append({"step": len(log), **fields})
+    return log, cost, False
+
+
 def train(
     model: ModelParams, data: tuple[np.ndarray, np.ndarray], config: TrainConfig
 ) -> ModelParams:
@@ -271,17 +287,13 @@ def train(
         raise ValueError("train: epochs must be >= 0 and batch_size >= 1")
     y = _check_labels(model, y)
     params = trainable_params(model)
-    opt = Adam(params, config.learning_rate)
     targets = loss_targets(y, model.head, model.layer_sizes[-1])
-    plan = ad.StepPlan(lambda Xb, Tb: (target_loss(forward(model, Xb), Tb, model.head),),
-                       params)
-    n = X.shape[0]
-    for epoch in range(config.epochs):
-        order = np.random.default_rng([config.seed, epoch]).permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            (batch_loss,) = plan.forward(X[idx], targets[idx])
-            opt.step([g.data for g in plan.grad(batch_loss)])
+    n, size = X.shape[0], config.batch_size
+    orders = (np.random.default_rng([config.seed, e]).permutation(n) for e in range(config.epochs))
+    idxs = (order[i : i + size] for order in orders for i in range(0, n, size))
+    plan = ad.StepPlan(lambda Xb, Tb: (target_loss(forward(model, Xb), Tb, model.head),), params)
+    descend(plan, Adam(params, config.learning_rate).step,
+            ((X[idx], targets[idx]) for idx in idxs), lambda outputs: (outputs[0], 0, {}), [])
     return model
 
 

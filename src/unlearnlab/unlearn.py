@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -84,6 +85,17 @@ def _forget_retain(bundle: bg.DataBundle) -> tuple:
     Xf, yf, _, _ = bg.stack(bg.forget_samples(bundle))
     Xr, yr, _, _ = bg.stack(bg.retain_samples(bundle))
     return Xf, yf, Xr, yr
+
+
+def _retain_batches(model: md.ModelParams, Xr, yr, batch: int, cfg: StrategyConfig, *columns):
+    """cfg.steps tuples (X, T, *columns) of the same batch rows of D_r, T
+    the rows' loss targets for model's head; each step draws its rows without
+    replacement from one stream seeded with cfg.seed."""
+    T = md.loss_targets(yr, model.head, model.layer_sizes[-1])
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.steps):
+        idx = rng.choice(len(Xr), size=batch, replace=False)
+        yield Xr[idx], T[idx], *(c[idx] for c in columns)
 
 
 def _mean_loss(model: md.ModelParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -159,46 +171,36 @@ def gradient_ascent(
     if not len(Xr):
         raise ValueError("gradient_ascent: empty retain set")
     batch = min(len(Xf), len(Xr))
-    rng = np.random.default_rng(cfg.seed)
 
     work = md.copy_model(model)
     params = md.trainable_params(work)
-    Tr = md.loss_targets(yr, work.head, work.layer_sizes[-1])
 
     def build(X, T):
         loss_f = md.loss(work, Xf, yf)
         loss_r = md.target_loss(md.forward(work, X), T, work.head)
         return ad.sub(loss_f, ad.scale(loss_r, cfg.alpha)), loss_f, loss_r
 
-    plan = ad.StepPlan(build, params)
-    log: list[dict] = []
-    cost = 0.0
-    truncated = False
-    for step in range(cfg.steps):
-        idx = rng.choice(len(Xr), size=batch, replace=False)
+    def read(outputs):
+        objective, loss_f, loss_r = outputs
+        return objective, len(Xf) + batch, {
+            "forget_loss": float(loss_f.data), "retain_loss": float(loss_r.data)}
+
+    def ascend(grads):
         # Updates rebind .data and nothing writes into it, so the arrays
         # themselves are the snapshot.
         snapshot = [p.data for p in params]
-        objective, loss_f, loss_r = plan.forward(Xr[idx], Tr[idx])
-        for p, g in zip(params, plan.grad(objective)):
-            p.data = p.data + cfg.eta * g.data
-        cost += len(Xf) + batch
-
-        try:  # the forward checks every node, so a non-finite parameter raises
-            with np.errstate(over="ignore", invalid="ignore"):  # and numpy says nothing
-                post = float(np.mean(md.per_sample_loss(work, Xf, yf)))
-        except ad.NonFiniteError:
-            post = math.nan
+        for p, g in zip(params, grads):
+            p.data = p.data + cfg.eta * g
+        post = math.nan  # if a parameter is non-finite: the forward raises, numpy says nothing
+        with contextlib.suppress(ad.NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            post = _mean_loss(work, Xf, yf)
         if not post <= FORGET_LOSS_CEILING:
             for p, s in zip(params, snapshot):
                 p.data = s
-            truncated = True
-            break
-        log.append({
-            "step": step,
-            "forget_loss": float(loss_f.data),
-            "retain_loss": float(loss_r.data),
-        })
+            return True
+
+    log, cost, truncated = md.descend(ad.StepPlan(build, params), ascend,
+                                      _retain_batches(work, Xr, yr, batch, cfg), read, [])
     return UnlearnResult(model=work, step_log=log, cost_units=cost, truncated=truncated)
 
 
@@ -225,14 +227,11 @@ def lora_unlearn(
     if not len(Xr):
         raise ValueError("lora_unlearn: empty retain set")
     batch = min(len(Xr), max(len(Xf), 1))
-    rng = np.random.default_rng(cfg.seed)
 
     work = md.copy_model(model)
     layer_idx = adapter_layer_index(work)
     md.attach_lora(work, [layer_idx], cfg.rank, cfg.seed)
     params = md.trainable_params(work)
-    opt = md.Adam(params, cfg.eta)
-    Tr = md.loss_targets(yr, work.head, work.layer_sizes[-1])
     use_forget = len(Xf) > 0 and cfg.beta > 0.0
 
     def build(X, T):
@@ -242,25 +241,15 @@ def lora_unlearn(
         loss_f = md.loss(work, Xf, yf)
         return ad.sub(loss_r, ad.scale(loss_f, cfg.beta)), loss_r, loss_f
 
-    plan = ad.StepPlan(build, params)
-    log: list[dict] = []
-    cost = 0.0
-    for step in range(cfg.steps):
-        idx = rng.choice(len(Xr), size=batch, replace=False)
-        objective, loss_r, *loss_f = plan.forward(Xr[idx], Tr[idx])
-        if use_forget:
-            forget_val = float(loss_f[0].data)
-            cost += len(Xf)
-        else:
-            forget_val = _mean_loss(work, Xf, yf)
-        opt.step([g.data for g in plan.grad(objective)])
-        cost += batch
-        log.append({
-            "step": step,
-            "forget_loss": forget_val,
-            "retain_loss": float(loss_r.data),
-            "objective": float(objective.data),
-        })
+    def read(outputs):
+        objective, loss_r, *loss_f = outputs
+        forget = float(loss_f[0].data) if loss_f else _mean_loss(work, Xf, yf)
+        return objective, batch + len(loss_f) * len(Xf), {
+            "forget_loss": forget, "retain_loss": float(loss_r.data),
+            "objective": float(objective.data)}
+
+    log, cost, _ = md.descend(ad.StepPlan(build, params), md.Adam(params, cfg.eta).step,
+                              _retain_batches(work, Xr, yr, batch, cfg), read, [])
     return UnlearnResult(model=work, step_log=log, cost_units=cost,
                          extra={"adapter_layer": layer_idx, "rank": cfg.rank})
 
@@ -295,12 +284,9 @@ def scrub_unlearn(
     teacher_r = md.predict_proba(teacher, Xr)
     teacher_f = md.predict_proba(teacher, Xf) if len(Xf) else None
     batch = min(len(Xr), len(Xf)) if len(Xf) else min(64, len(Xr))
-    rng = np.random.default_rng(cfg.seed)
 
     student = md.copy_model(baseline)
     params = md.trainable_params(student)
-    opt = md.Adam(params, cfg.eta)
-    Tr = md.loss_targets(yr, head, student.layer_sizes[-1])
 
     def build(X, T, P, plogp):
         z_r = md.forward(student, X)
@@ -313,33 +299,24 @@ def scrub_unlearn(
                            ad.tensor(md.neg_entropy(teacher_f, head)))
         return retain_kl, task, keep_terms, forget_kl, ad.sub(keep_terms, forget_kl)
 
-    plan = ad.StepPlan(build, params)
-    log: list[dict] = []
-    cost = 0.0
-    for step in range(cfg.steps):
-        idx = rng.choice(len(Xr), size=batch, replace=False)
-        P = teacher_r[idx]
-        retain_kl, task, keep_terms, *forget_out = plan.forward(
-            Xr[idx], Tr[idx], P, md.neg_entropy(P, head))
-        cost += batch
-
-        total, forget_kl_val, forget_used = keep_terms, 0.0, 0.0
+    def read(outputs):
+        retain_kl, task, keep_terms, *forget_out = outputs
+        total, units, forget_kl_val, forget_used = keep_terms, batch, 0.0, 0.0
         if forget_out:
             forget_kl, used = forget_out
             forget_kl_val = float(forget_kl.data)
             forget_used = min(forget_kl_val, FORGET_KL_CLIP)
             if forget_kl_val <= FORGET_KL_CLIP:
-                total = used
-                cost += len(Xf)
-        opt.step([g.data for g in plan.grad(total)])
-        log.append({
-            "step": step,
-            "forget_loss": forget_kl_val,
-            "retain_loss": float(retain_kl.data),
-            "task_loss": float(task.data),
-            "forget_used": forget_used,
-            "total": float(keep_terms.data) - forget_used,
-        })
+                total, units = used, batch + len(Xf)
+        return total, units, {
+            "forget_loss": forget_kl_val, "retain_loss": float(retain_kl.data),
+            "task_loss": float(task.data), "forget_used": forget_used,
+            "total": float(keep_terms.data) - forget_used}
+
+    batches = ((X, T, P, md.neg_entropy(P, head))
+               for X, T, P in _retain_batches(student, Xr, yr, batch, cfg, teacher_r))
+    log, cost, _ = md.descend(
+        ad.StepPlan(build, params), md.Adam(params, cfg.eta).step, batches, read, [])
     return UnlearnResult(model=student, step_log=log, cost_units=cost)
 
 
@@ -504,20 +481,23 @@ def fmd_unlearn(
         "step_norm": info.step_norm,
     }]
 
-    if cfg.finetune_steps:
-        paired = bg.SCENARIOS[bundle.kind].paired_counterfactual
-        params = md.trainable_params(work) if paired else list(work.layers[-1])
-        opt = md.Adam(params, cfg.eta)
-        for k in range(cfg.finetune_steps):
-            objective = md.loss(work, Xc, yc)
-            cost += n_c
-            if paired and len(work.layers) > 1:
-                gap = ad.sq_norm(ad.sub(md.head_inputs(work, Xf), md.head_inputs(work, Xc)))
-                objective = ad.add(objective, ad.scale(gap, 1.0 / n_c))
-                cost += 2 * n_c
-            grads = ad.grad(objective, params)
-            opt.step([g.data for g in grads])
-            log.append({"step": k + 1, "finetune_loss": float(objective.data)})
+    paired = bg.SCENARIOS[bundle.kind].paired_counterfactual
+    params = md.trainable_params(work) if paired else list(work.layers[-1])
+    gap = paired and len(work.layers) > 1
+
+    def build():
+        objective = md.loss(work, Xc, yc)
+        if gap:
+            dist = ad.sq_norm(ad.sub(md.head_inputs(work, Xf), md.head_inputs(work, Xc)))
+            objective = ad.add(objective, ad.scale(dist, 1.0 / n_c))
+        return (objective,)
+
+    log, tuned, _ = md.descend(
+        ad.StepPlan(build, params), md.Adam(params, cfg.eta).step,
+        itertools.repeat((), cfg.finetune_steps),
+        lambda outputs: (outputs[0], 3 * n_c if gap else n_c,
+                         {"finetune_loss": float(outputs[0].data)}), log)
+    cost += tuned
 
     return UnlearnResult(
         model=work, step_log=log, cost_units=cost,
