@@ -8,7 +8,10 @@ Then prints one sha256 over every file the runs wrote except manifest.json,
 which alone holds wall-clock times and paths: two checkouts that write the
 same bytes print the same line, so their outputs compare with `diff`.
 Then it prints one sha256 over the `saliency.csv` that the `saliency`
-subcommand writes for each run's baseline on the test split.
+subcommand writes for each run's baseline on the test split, and one over
+what each post-hoc strategy that the run completed returns besides its model
+(its step_log, truncated, cost_units and extra, as repr), rerun on the run's
+bundle, baseline and gold checkpoints: the per-step losses to the last bit.
 Last, it runs perfbench's `influence` ops at workload seeds 1 and 2 and prints
 one sha256 over every (op key, verified result): the influence values, CG
 iterations and convergence flags, to the last bit. Last of all it prints the
@@ -22,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +65,7 @@ def main() -> int:
                 digest.update(path.read_bytes())
         print(f"all files but manifest.json: sha256 {digest.hexdigest()}")
         print(f"saliency of the baselines: sha256 {saliency_digest(cli, Path(tmp))}")
+        print(f"strategy step logs: sha256 {step_log_digest(hn, Path(tmp))}")
         print(f"influence at seeds 1-2: sha256 {influence_digest(workloads, Path(tmp))}")
     package = ROOT / "src" / "unlearnlab"
     lines = sum(len(p.read_bytes().splitlines()) for p in package.glob("*.py"))
@@ -79,6 +84,26 @@ def saliency_digest(cli, work: Path) -> str:
             if code != 0:
                 raise SystemExit(f"saliency of {run.name} exited {code}")
             digest.update((out / "saliency.csv").read_bytes())
+    return digest.hexdigest()
+
+
+def step_log_digest(hn, work: Path) -> str:
+    from unlearnlab import model as md
+
+    digest = hashlib.sha256()
+    for config in sorted((ROOT / "configs").glob("*.cfg")):
+        cfg = hn.load_config(config)
+        for seed in SEEDS:
+            run = work / f"{config.stem}@{seed}"
+            failed = json.loads((run / "manifest.json").read_text())["failed_strategies"]
+            bundle = hn.build_bundle(cfg, seed)
+            baseline, gold = (md.load_checkpoint(run / f"{role}.ckpt")
+                              for role in ("baseline", "gold"))
+            for name in cfg.strategies:
+                if name not in failed:
+                    r = hn.run_strategy(name, cfg, bundle, baseline, gold, seed)
+                    digest.update(repr((run.name, name, r.step_log, r.truncated,
+                                        r.cost_units, r.extra)).encode())
     return digest.hexdigest()
 
 

@@ -463,7 +463,10 @@ def load_report(path) -> fe.EvalReport:
 @dataclass
 class RunManifest:
     """What a run produced and how long each stage, training run and
-    strategy took; the reports count cost units, so they reproduce."""
+    strategy took; the reports count cost units, so they reproduce. Each
+    strategy that ran maps in strategies to its steps run, truncated flag,
+    cost units and extra (FMD's CG stats, LoRA's adapter, SCRUB's clipped
+    steps)."""
 
     config_path: str | None
     config_sha256: str
@@ -475,6 +478,7 @@ class RunManifest:
     checkpoints: dict = field(default_factory=dict)
     reports: dict = field(default_factory=dict)
     failed_strategies: dict = field(default_factory=dict)
+    strategies: dict = field(default_factory=dict)
     failed_stage: str | None = None
 
     def write(self, path) -> Path:
@@ -549,6 +553,9 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
             manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
         for name, result in results.items():
             manifest.checkpoints[name] = str(save_model(result.model, out, name))
+            manifest.strategies[name] = {
+                "steps": len(result.step_log), "truncated": result.truncated,
+                "cost_units": result.cost_units, "extra": result.extra}
 
     with stage("evaluate"):
         reports = {"baseline": fe.evaluate_model(baseline, bundle, time_units=baseline_units)}

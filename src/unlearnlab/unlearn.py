@@ -270,7 +270,8 @@ def scrub_unlearn(
     Each KL(teacher || student) is the student's loss against the teacher's
     probabilities plus their neg_entropy. The forget KL is clipped at
     FORGET_KL_CLIP per batch by dropping its gradient once past the cap; the
-    logged total always equals retain_kl + task_loss - forget_used.
+    logged total always equals retain_kl + task_loss - forget_used, and
+    extra's clipped_steps counts the steps past the cap.
     """
     if baseline.layer_sizes != teacher.layer_sizes or baseline.head != teacher.head:
         raise ValueError(
@@ -317,7 +318,8 @@ def scrub_unlearn(
                for X, T, P in _retain_batches(student, Xr, yr, batch, cfg, teacher_r))
     log, cost, _ = md.descend(
         ad.StepPlan(build, params), md.Adam(params, cfg.eta).step, batches, read, [])
-    return UnlearnResult(model=student, step_log=log, cost_units=cost)
+    return UnlearnResult(model=student, step_log=log, cost_units=cost, extra={
+        "clipped_steps": sum(entry["forget_loss"] > FORGET_KL_CLIP for entry in log)})
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,24 @@ def test_one_and_two_cpus_write_identical_files(tmp_path, monkeypatch, seed):
             "generate", "baseline", "gold", "strategies", "evaluate", "cobum", "emit"]
         assert list(manifest.wall_seconds) == ["baseline", "gold", *cfg.strategies]
         assert list(manifest.checkpoints) == ["baseline", "gold", *cfg.strategies]
+        assert list(manifest.strategies) == [*cfg.strategies]
+    assert serial.strategies == forked.strategies
+
+
+def test_manifest_records_what_each_strategy_did(tmp_path):
+    # At attribute seed 1 the GA divergence guard fires after 180 of 300
+    # steps, and SCRUB's forget KL is past its clip on 583 of 600 steps.
+    config = CONFIG_DIR / "attribute.cfg"
+    hn.run_experiment(hn.load_config(config), 1, tmp_path / "run", config_path=config)
+    payload = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["strategies"] == {
+        "gradient_ascent": {"steps": 180, "truncated": True, "cost_units": 217200.0,
+                            "extra": {}},
+        "lora": {"steps": 40, "truncated": False, "cost_units": 48000.0,
+                 "extra": {"adapter_layer": 0, "rank": 8}},
+        "scrub": {"steps": 600, "truncated": False, "cost_units": 370200.0,
+                  "extra": {"clipped_steps": 583}},
+    }
 
 
 def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
@@ -741,6 +759,7 @@ def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
     assert re.fullmatch(r"RuntimeError: \w+ broke in worker \d+", message)
     assert f"worker {parent}" not in message
     assert manifest.wall_seconds[failed] >= 0.0
+    assert failed not in manifest.strategies
     rows = {line.split(",")[0]: line for line in
             (out / "results.csv").read_text(encoding="utf-8").splitlines()}
     label = ul.POST_HOC_STRATEGIES[failed].label

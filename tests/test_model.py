@@ -158,6 +158,57 @@ def test_trains_three_class_blobs():
 
 
 # ---------------------------------------------------------------------------
+# The descent loop.
+# ---------------------------------------------------------------------------
+
+def dot_plan():
+    """(w, plan, read): a step whose output is w . x and costs 2 units."""
+    w = ad.tensor(np.array([1.0, -1.0]))
+    plan = ad.StepPlan(lambda x: (ad.sum_all(ad.mul(x, w)),), [w])
+    return w, plan, lambda outputs: (outputs[0], 2, {"value": outputs[0].item()})
+
+
+def test_descend_stops_on_an_update_that_returns_true():
+    w, plan, read = dot_plan()
+    stepped = []
+
+    def update(grads):
+        w.data = w.data - grads[0]
+        stepped.append(w.data.tolist())
+        return len(stepped) == 3 or None
+
+    batches = iter([(np.array([1.0, 2.0]),)] * 5)
+    log, cost, truncated = md.descend(plan, update, batches, read, [])
+    assert truncated is True
+    assert stepped == [[0.0, -3.0], [-1.0, -5.0], [-2.0, -7.0]]
+    # The stopping step's cost counts, but it is not logged, and no further
+    # batch is drawn.
+    assert cost == 6.0
+    assert log == [{"step": 0, "value": -1.0}, {"step": 1, "value": -6.0}]
+    assert len(list(batches)) == 2
+
+
+def test_descend_numbers_steps_after_the_log_it_is_given():
+    w, plan, read = dot_plan()
+    opt = md.Adam([w], 0.1)  # its step returns None: go on
+    log, cost, truncated = md.descend(plan, opt.step, [(np.ones(2),)] * 2, read,
+                                      [{"step": 0, "note": "before"}])
+    assert [entry["step"] for entry in log] == [0, 1, 2]
+    assert log[0] == {"step": 0, "note": "before"}
+    assert (cost, truncated, opt.t) == (4.0, False, 2)
+
+
+def test_descend_without_batches_changes_nothing():
+    w, plan, read = dot_plan()
+    before = w.data.tobytes()
+    opt = md.Adam([w], 0.1)
+    log, cost, truncated = md.descend(plan, opt.step, [], read, [{"step": 0}])
+    assert (log, cost, truncated) == ([{"step": 0}], 0.0, False)
+    assert not plan.traces and opt.t == 0
+    assert w.data.tobytes() == before
+
+
+# ---------------------------------------------------------------------------
 # Adapters.
 # ---------------------------------------------------------------------------
 

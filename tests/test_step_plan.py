@@ -8,6 +8,8 @@ again, as each step did before plans existed.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,57 @@ def test_replayed_scrub_is_bitwise_taped_on_both_clip_branches(monkeypatch, head
     used = [entry["forget_used"] for entry in outcomes["replay"][0].step_log]
     assert ul.FORGET_KL_CLIP in used
     assert any(u < ul.FORGET_KL_CLIP for u in used)
+
+
+def fmd_setup(kind):
+    """(bundle, baseline, D_c) on a small patch bundle, whose D_c is paired
+    with D_f, or a small pose bundle, whose D_c is not."""
+    bundle = (bg.gen_patch_bias(60, 3, 0, 0.5, 2.5, seed=91) if kind == "patch"
+              else bg.gen_pose_bias(150, 3, 0.9, seed=92))
+    assert bg.SCENARIOS[kind].paired_counterfactual is (kind == "patch")
+    X, y, _, _ = bg.stack(bundle.train)
+    config = md.TrainConfig(epochs=6, batch_size=32, learning_rate=5e-3, seed=12)
+    baseline = md.train(md.init_model([X.shape[1], 10, 3], "softmax", 93), (X, y), config)
+    return bundle, baseline, bg.build_counterfactual(bundle, seed=94)
+
+
+FMD_CONFIG = ul.StrategyConfig(damping=1.0, eta=3e-3, finetune_steps=4, seed=13)
+
+
+@pytest.mark.parametrize("kind", ["patch", "pose"])
+def test_replayed_fmd_finetune_is_bitwise_taped(monkeypatch, kind):
+    bundle, baseline, d_c = fmd_setup(kind)
+    outcomes = run_both(monkeypatch, lambda: ul.fmd_unlearn(baseline, bundle, d_c, FMD_CONFIG))
+    assert_bitwise_equal(outcomes, lambda r: r.model,
+                         lambda r: (r.step_log, r.cost_units, r.extra))
+
+
+@pytest.mark.parametrize("kind", ["patch", "pose"])
+def test_replayed_fmd_finetune_matches_a_plain_tape_loop(kind):
+    """The loop the fine-tune ran before: md.loss, the pair gap, ad.grad, Adam."""
+    bundle, baseline, d_c = fmd_setup(kind)
+    tuned = ul.fmd_unlearn(baseline, bundle, d_c, FMD_CONFIG)
+    newton = ul.fmd_unlearn(baseline, bundle, d_c,
+                            dataclasses.replace(FMD_CONFIG, finetune_steps=0))
+    model, paired = newton.model, kind == "patch"
+    Xf, _, _, _ = bg.stack(bg.forget_samples(bundle))
+    Xc, yc, _, _ = bg.stack(d_c)
+    params = md.trainable_params(model) if paired else list(model.layers[-1])
+    opt = md.Adam(params, FMD_CONFIG.eta)
+    losses = []
+    for _ in range(FMD_CONFIG.finetune_steps):
+        objective = md.loss(model, Xc, yc)
+        if paired:
+            gap = ad.sq_norm(ad.sub(md.head_inputs(model, Xf), md.head_inputs(model, Xc)))
+            objective = ad.add(objective, ad.scale(gap, 1.0 / len(Xc)))
+        opt.step([g.data for g in ad.grad(objective, params)])
+        losses.append(float(objective.data))
+    assert params_bytes(tuned.model) == params_bytes(model)
+    assert tuned.step_log[0] == newton.step_log[0]
+    assert tuned.step_log[1:] == [{"step": k + 1, "finetune_loss": loss}
+                                  for k, loss in enumerate(losses)]
+    units = len(Xc) * (3 if paired else 1)
+    assert tuned.cost_units == newton.cost_units + FMD_CONFIG.finetune_steps * units
 
 
 # ---------------------------------------------------------------------------
