@@ -3,16 +3,19 @@ teacher-student distillation, and a one-step Newton update on counterfactual
 data, plus influence scores for ranking sample contributions.
 
 Every strategy takes the baseline model as an immutable input and returns a
-fresh parameter set with a per-step loss trace. Compute is accounted in
-deterministic cost units: a backward pass over a batch of n samples costs n,
-a Hessian-vector product costs 2n (it is a double backward). Reports built
-from these units are identical across reruns, unlike wall-clock times, which
-the harness records around each strategy call and writes only to the run
-manifest; nothing here reads the clock. Cost units count work in the
-algorithm's terms and do not measure time: a CG solve builds its
-Hessian-vector operator once and then runs one first-order pass per product,
-yet each product still counts 2n, so FMD's cost stays n_c * (1 + 2 *
-iterations).
+fresh parameter set with a per-step loss trace. GA, LoRA, SCRUB and FMD's
+fine-tune step on model.descend, the loop training runs on: each strategy
+gives it a step plan, its read of a step's outputs (the loss to
+differentiate, cost units, log fields) and its update rule, which for GA is
+the divergence guard. Compute is accounted in deterministic cost units: a
+backward pass over a batch of n samples costs n, a Hessian-vector product
+costs 2n (it is a double backward). Reports built from these units are
+identical across reruns, unlike wall-clock times, which the harness records
+around each strategy call and writes only to the run manifest; nothing here
+reads the clock. Cost units count work in the algorithm's terms and do not
+measure time: a CG solve builds its Hessian-vector operator once and then
+runs one first-order pass per product, yet each product still counts 2n, so
+FMD's cost stays n_c * (1 + 2 * iterations).
 """
 
 from __future__ import annotations
