@@ -35,9 +35,9 @@ the constant operands of a CG solve are transposed once, not per iteration;
 the reuse keys on array identity, so code that rebinds ``.data`` (as the
 optimisers do) gets a fresh copy, and nothing may write into a graph's
 arrays in place. A ``StepPlan`` does the same for a minibatch step: it tapes
-the step once per batch shape and replays its forwards and fixed backward on
-each new batch (trace once, as in Frostig, Johnson & Leary 2018, "Compiling
-machine learning programs via high-level tracing").
+the step once per batch shape and replays the forwards its outputs depend on,
+and its fixed backward, on each new batch (trace once, as in Frostig, Johnson
+& Leary 2018, "Compiling machine learning programs via high-level tracing").
 
 Two fused primitives replace common chains with one node each and the same
 arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
@@ -158,10 +158,6 @@ class _Prim:
         self.taped_vjp = taped_vjp or array_vjp
 
 
-# Nodes made while a StepPlan tapes its step, in the order they are made.
-_recording: list | None = None
-
-
 def _run(node: Tensor) -> None:
     """Set a node's output and saved value from its parents' current data;
     the tape and a step plan's replay both go through here."""
@@ -175,8 +171,6 @@ def _node(prim: _Prim, parents: tuple, const=None) -> Tensor:
     node = Tensor.__new__(Tensor)
     node.parents, node.prim, node.const = parents, prim, const
     _run(node)
-    if _recording is not None:
-        _recording.append(node)
     return node
 
 
@@ -508,16 +502,16 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 @dataclass
 class Graph:
-    """Topologically ordered view of the nodes reachable from an output."""
+    """Topologically ordered view of the nodes reachable from some outputs."""
 
     nodes: list[Tensor]
 
 
-def trace(output: Tensor) -> Graph:
-    """Collect the graph under ``output`` in topological (parents-first) order."""
+def trace(*outputs: Tensor) -> Graph:
+    """Collect the graph under ``outputs``, parents first, walking from the first."""
     order: list[Tensor] = []
     seen: set[Tensor] = set()
-    stack: list[tuple[Tensor, bool]] = [(output, False)]
+    stack: list[tuple[Tensor, bool]] = [(output, False) for output in reversed(outputs)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -610,9 +604,10 @@ class StepPlan:
     ``build(*leaves)`` makes the step's graph from one leaf per input array
     and from long-lived tensors such as parameters, and returns its outputs.
     The first ``forward`` for some input shapes (a last partial batch has its
-    own) tapes ``build`` and keeps its nodes in the order made. Later ones
-    rebind the leaves, check them as ``tensor`` does and rerun the nodes'
-    forwards in that order, each checked as on the tape. ``grad(output)``
+    own) tapes ``build`` and keeps the nodes of ``trace(*outputs)``; an input
+    leaf missing from them raises ValueError naming its position. Later ones
+    rebind the leaves, check them as ``tensor`` does and rerun those nodes'
+    forwards, parents first, each checked as on the tape. ``grad(output)``
     runs the backward down the plan ``_plan`` made for that output, so every
     value is bitwise that of taping the step afresh. Parameters are read at
     their current ``.data``; a leaf that ``build`` makes is a constant.
@@ -624,9 +619,6 @@ class StepPlan:
         self.plans: dict = {}  # output -> _plan(output, wrt)
 
     def forward(self, *arrays) -> tuple[Tensor, ...]:
-        global _recording
-        if _recording is not None:
-            raise RuntimeError("StepPlan: a step cannot run another step")
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
         key = tuple(a.shape for a in arrays)
         if key in self.traces:
@@ -638,12 +630,12 @@ class StepPlan:
                 _run(node)
             return outputs
         leaves = [Tensor(a) for a in arrays]
-        _recording = nodes = []
-        try:
-            outputs = tuple(self.build(*leaves))
-        finally:
-            _recording = None
-        self.traces[key] = (leaves, nodes, outputs)
+        outputs = tuple(self.build(*leaves))
+        nodes = trace(*outputs).nodes
+        for i, leaf in enumerate(leaves):
+            if leaf not in nodes:
+                raise ValueError(f"StepPlan: input {i} does not reach the step's outputs")
+        self.traces[key] = (leaves, [node for node in nodes if node.prim is not None], outputs)
         return outputs
 
     def grad(self, output: Tensor) -> list[Tensor]:

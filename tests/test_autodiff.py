@@ -230,6 +230,18 @@ def test_grad_reaches_every_leaf():
     np.testing.assert_allclose(gx.data, [2.0 + 3.0, -4.0 + 0.5], atol=1e-14)
     np.testing.assert_allclose(gw.data, [1.0, -2.0], atol=1e-14)
 
+def test_trace_of_several_outputs_lists_each_node_once_parents_first():
+    x = ad.tensor(np.array([1.0, -2.0]))
+    shared = ad.scale(x, 2.0)
+    a, b = ad.sum_all(ad.relu(shared)), ad.sq_norm(shared)
+    nodes = ad.trace(a, b).nodes
+    assert len(nodes) == len(set(nodes)) == len(set(ad.trace(a).nodes) | set(ad.trace(b).nodes))
+    for i, node in enumerate(nodes):
+        assert all(nodes.index(p) < i for p in node.parents)
+    # An output under an earlier one adds nothing: shared lies under a.
+    assert ad.trace(a, shared).nodes == ad.trace(a).nodes
+    assert ad.trace(a, b).nodes[:len(ad.trace(a).nodes)] == ad.trace(a).nodes
+
 def test_grad_rejects_nonscalar_output():
     x = ad.tensor(np.ones(3))
     with pytest.raises(ad.ShapeError):

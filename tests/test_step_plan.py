@@ -276,11 +276,24 @@ def test_step_plan_rebinds_its_inputs_and_reads_parameters_afresh():
         vector.grad(vector.forward(np.ones(2))[0])
 
 
+def test_a_step_whose_outputs_miss_an_input_raises_at_tape_time():
+    # The output reads x's array, not x: a replay would return the taped
+    # 6.0 for every input, where a fresh tape gives 2 * x.sum().
+    plan = ad.StepPlan(lambda x: (ad.sum_all(ad.tensor(x.data * 2.0)),), [])
+    with pytest.raises(ValueError, match="input 0 does not reach"):
+        plan.forward(np.ones(3))
+    assert not plan.traces
+    two = ad.StepPlan(lambda x, y: (ad.sum_all(ad.mul(x, x)), ad.sum_all(ad.tensor(y.data))), [])
+    with pytest.raises(ValueError, match="input 1 does not reach"):
+        two.forward(np.ones(3), np.ones(3))
+    assert not two.traces
+
+
 def test_a_step_cannot_run_another():
     outer = ad.StepPlan(lambda x: ad.StepPlan(lambda y: (y,), []).forward(x.data), [])
-    with pytest.raises(RuntimeError, match="cannot run another step"):
+    with pytest.raises(ValueError, match="input 0 does not reach"):
         outer.forward(np.ones(2))
-    # The failed tape leaves nothing recording.
+    # The failed tape stores nothing.
     plan = ad.StepPlan(lambda x: (ad.sum_all(x),), [])
     assert plan.forward(np.ones(3))[0].item() == 3.0
-    assert not outer.traces and ad._recording is None
+    assert not outer.traces
