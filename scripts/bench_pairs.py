@@ -11,7 +11,9 @@ pair its own (``--seed``, ``--seed + 1``, ...). The result line of every run
 is parsed, and ``BENCH_<pr>.json`` records, per workload and end-to-end
 metric, each side's runs with their median and quartiles, how many pairs
 each side won (ties count for neither), and whether the median gap exceeds
-the parent's quartile spread. Two flags read each metric against its bound:
+the parent's quartile spread, beside each side's 1-minute load average at
+the start of each run, so that a pair lost under host load shows as one.
+Two flags read each metric against its bound:
 ``within_bound`` when the change's median is worse than the parent's by at
 most the bound (a fraction of the parent's median), and ``unresolved`` when
 the parent's own quartile spread is wider than that, so the runs cannot tell,
@@ -121,12 +123,13 @@ def main(argv=None) -> int:
         values = {side: {name: [] for name in specs} for side in SIDES}
         failed = {side: 0 for side in SIDES}
         attempted = {side: 0 for side in SIDES}
+        load = {side: [] for side in SIDES}
         for i in range(pairs):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
                 env, result = run_once(getattr(args, side), workload, seed, args.seconds)
-                env.pop("loadavg", None)  # varies from run to run
+                load[side].append(env.pop("loadavg", [None])[0])
                 report["environment"].setdefault(side, env)
                 failed[side] += result["failed"]
                 attempted[side] += result["attempted"]
@@ -140,6 +143,7 @@ def main(argv=None) -> int:
             "first_side": [SIDES[i % 2] for i in range(pairs)],
             "failed": failed,
             "attempted": attempted,
+            "load_1m": load,
             "metrics": {name: compare(spec, values["parent"][name], values["change"][name])
                         for name, spec in specs.items()},
         }

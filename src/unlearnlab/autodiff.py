@@ -666,8 +666,6 @@ def hvp_operator(
     afresh for each v.
     """
     loss = loss_fn(params)
-    if loss.data.ndim != 0:
-        raise ShapeError("hvp_operator: loss_fn must return a scalar")
     (g,) = grad(loss, [params], create_graph=True)
     g_plan = _plan(g, [params])
 

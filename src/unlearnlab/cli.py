@@ -104,11 +104,10 @@ def cmd_unlearn(args) -> int:
         raise hn.UserError(
             f"strategy {args.strategy!r} is not listed in {cfg.name}'s config "
             f"(has: {', '.join(cfg.strategies)})")
-    strategy = ul.POST_HOC_STRATEGIES[args.strategy]
     bundle = hn.build_bundle(cfg, args.seed)
     baseline = _load_or_train_baseline(cfg, bundle, args)
     gold = None
-    if strategy.needs_teacher:
+    if "teacher" in hn._parameters(ul.POST_HOC_STRATEGIES[args.strategy].run):
         gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold
                 else hn.train_gold(cfg, bundle, args.seed).model)
     seconds = {}

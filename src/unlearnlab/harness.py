@@ -131,7 +131,7 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown strategy {name!r} (known: {known})")
         if strategies.count(name) > 1:  # both would run with one seed
             raise ConfigError(f"strategy {name!r} is listed more than once")
-        if (ul.POST_HOC_STRATEGIES[name].needs_counterfactual
+        if ("counterfactual" in _parameters(ul.POST_HOC_STRATEGIES[name].run)
                 and bg.SCENARIOS[kind].counterfactual is None):
             raise ConfigError(
                 f"{name} needs a counterfactual recipe; none exists for {kind!r}")
@@ -294,15 +294,17 @@ def train_gold(cfg: ExperimentConfig, bundle: bg.DataBundle,
 def run_strategy(name: str, cfg: ExperimentConfig, bundle: bg.DataBundle,
                  baseline: md.ModelParams, gold: md.ModelParams | None,
                  master_seed: int) -> ul.UnlearnResult:
-    """Dispatch one post-hoc strategy against the shared baseline/gold pair."""
+    """Run one post-hoc strategy on the shared baseline. Its function gets
+    gold as teacher, and D_c as counterfactual, only if it takes them."""
     position = cfg.strategies.index(name)
-    strategy = ul.POST_HOC_STRATEGIES[name]
+    run = ul.POST_HOC_STRATEGIES[name].run
     scfg = ul.StrategyConfig(seed=master_seed + SEED_STRATEGY + 100 * position,
                              **cfg.strategy_params[name])
-    d_c = None
-    if strategy.needs_counterfactual:
-        d_c = bg.build_counterfactual(bundle, seed=master_seed + SEED_COUNTERFACTUAL)
-    return strategy.run(baseline, gold, bundle, scfg, d_c)
+    extra = {"teacher": gold} if "teacher" in _parameters(run) else {}
+    if "counterfactual" in _parameters(run):
+        extra["counterfactual"] = bg.build_counterfactual(
+            bundle, seed=master_seed + SEED_COUNTERFACTUAL)
+    return run(baseline, bundle=bundle, cfg=scfg, **extra)
 
 
 def save_model(model: md.ModelParams, out, role: str) -> Path:

@@ -520,32 +520,24 @@ def fmd_unlearn(
 @dataclass(frozen=True)
 class Strategy:
     """A post-hoc strategy: its table label, the StrategyConfig fields it
-    reads (its config section's keys), whether it needs a counterfactual set
-    or the gold model as teacher (else it may get None), and run(model,
-    teacher, bundle, cfg, counterfactual), which looks the strategy function
-    up on this module at each call. The strategy function alone decides
-    which inputs it accepts: it raises ValueError on any it rejects."""
+    reads (its config section's keys), and the name of its function, which
+    run looks up on this module at each call. run takes the model, then
+    bundle and cfg by keyword, and teacher (the gold model) or counterfactual
+    (FMD's D_c) if the function has that parameter. The function alone
+    decides which inputs it accepts: it raises ValueError on any it rejects."""
 
     label: str
     reads: tuple[str, ...]
-    run: Callable[..., UnlearnResult]
-    needs_counterfactual: bool = False
-    needs_teacher: bool = False
+    function: str
+
+    @property
+    def run(self) -> Callable[..., UnlearnResult]:
+        return globals()[self.function]
 
 
 POST_HOC_STRATEGIES = {
-    "gradient_ascent": Strategy(
-        "GA", ("eta", "alpha", "steps"),
-        lambda model, teacher, bundle, cfg, d_c: gradient_ascent(model, bundle, cfg)),
-    "lora": Strategy(
-        "LoRA", ("eta", "beta", "rank", "steps"),
-        lambda model, teacher, bundle, cfg, d_c: lora_unlearn(model, bundle, cfg)),
-    "scrub": Strategy(
-        "SCRUB", ("eta", "steps"),
-        lambda model, teacher, bundle, cfg, d_c: scrub_unlearn(model, teacher, bundle, cfg),
-        needs_teacher=True),
-    "fmd": Strategy(
-        "FMD", ("eta", "damping", "finetune_steps", "hessian_scope"),
-        lambda model, teacher, bundle, cfg, d_c: fmd_unlearn(model, bundle, d_c, cfg),
-        needs_counterfactual=True),
+    "gradient_ascent": Strategy("GA", ("eta", "alpha", "steps"), "gradient_ascent"),
+    "lora": Strategy("LoRA", ("eta", "beta", "rank", "steps"), "lora_unlearn"),
+    "scrub": Strategy("SCRUB", ("eta", "steps"), "scrub_unlearn"),
+    "fmd": Strategy("FMD", ("eta", "damping", "finetune_steps", "hessian_scope"), "fmd_unlearn"),
 }

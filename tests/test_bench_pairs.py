@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,31 @@ def test_compare_counts_wins_and_the_gap_against_the_parent_spread():
     assert (out["change_wins"], out["parent_wins"]) == (3, 1)
     assert out["parent"]["median"] == 101.5 and out["change"]["median"] == 92.5
     assert out["gap_exceeds_parent_iqr"] and out["change_over_parent"] == 92.5 / 101.5
+
+
+def test_main_keeps_each_runs_load_beside_its_values(tmp_path, monkeypatch):
+    runs = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        runs.append(checkout)
+        n = len(runs)
+        result = {"failed": 0, "attempted": 1,
+                  "metrics": {name: {"value": float(n)} for name in
+                              ("ops_per_s", "op_ms_p50", "setup_s", "peak_rss_mb")}}
+        return {"nproc": 2, "loadavg": [n / 10, 9.0, 9.0]}, result
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    root = SCRIPT.parents[1]
+    parent = tmp_path / "parent"
+    (parent / "perfbench").mkdir(parents=True)
+    (parent / "perfbench" / "run.py").touch()
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", str(parent), "--change", str(root), "--pr", "0",
+                      "--out", str(out), "w:3"])
+    report = json.loads(out.read_text())
+    work = report["workloads"]["w"]
+    # Pairs alternate which side runs first: parent, change; change, parent; ...
+    assert work["first_side"] == ["parent", "change", "parent"]
+    assert work["load_1m"] == {"parent": [0.1, 0.4, 0.5], "change": [0.2, 0.3, 0.6]}
+    assert work["metrics"]["ops_per_s"]["parent"]["runs"] == [1.0, 4.0, 5.0]
+    assert "loadavg" not in report["environment"]["parent"]

@@ -744,11 +744,11 @@ def test_strategy_raising_in_a_worker_is_a_failed_row(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 2)
     parent = os.getpid()
     for name, other in (("gradient_ascent", "lora_unlearn"), ("lora_unlearn", "gradient_ascent")):
-        def met(*args, _fn=getattr(ul, name), _name=name, _other=other):
+        def met(*args, _fn=getattr(ul, name), _name=name, _other=other, **kwargs):
             meet(tmp_path, _name, _other)  # GA and LoRA run in different processes
             if os.getpid() != parent:
                 raise RuntimeError(f"{_name} broke in worker {os.getpid()}")
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(ul, name, met)
     out = tmp_path / "forked"
     manifest = hn.run_experiment(cfg, 7, out, config_path=path)
@@ -1266,6 +1266,26 @@ def test_pipeline_calls_traced_functions_through_their_modules(tmp_path, monkeyp
         # Baseline and Hard, plus one per strategy: 6 + 3 + 3.
         "evaluate_model": 12,
     }
+
+
+def test_run_strategy_passes_each_function_the_inputs_it_takes(tmp_path, monkeypatch):
+    # Wrapped as the benchmark's traced run wraps them: the wrapper's
+    # (*args, **kwargs) must not hide which inputs the function takes.
+    got = {}
+    for name in TRACED[ul]:
+        def spy(*args, _name=name, **kwargs):
+            got[_name] = args, kwargs
+        monkeypatch.setattr(ul, name, functools.wraps(getattr(ul, name))(spy))
+    cfg = hn.load_config(write_config(tmp_path, TINY_RUNS["patch"]))
+    bundle, baseline, gold = hn.build_bundle(cfg, 7), object(), object()
+    for name in cfg.strategies:
+        hn.run_strategy(name, cfg, bundle, baseline, gold, 7)
+    for name, (args, kwargs) in got.items():
+        assert args == (baseline,) and kwargs["bundle"] is bundle, name
+    assert got["scrub_unlearn"][1]["teacher"] is gold
+    assert set(got["gradient_ascent"][1]) == set(got["lora_unlearn"][1]) == {"bundle", "cfg"}
+    assert set(got["fmd_unlearn"][1]) == {"bundle", "cfg", "counterfactual"}
+    assert len(got) == 4
 
 
 # ---------------------------------------------------------------------------
