@@ -14,8 +14,11 @@ what each post-hoc strategy that the run completed returns besides its model
 bundle, baseline and gold checkpoints: the per-step losses to the last bit.
 Last, it runs perfbench's `influence` ops at workload seeds 1 and 2 and prints
 one sha256 over every (op key, verified result): the influence values, CG
-iterations and convergence flags, to the last bit. Last of all it prints the
-line count of the Python modules in src/unlearnlab.
+iterations and convergence flags, to the last bit. Each of these four lines
+ends in `ok`, or in `MISMATCH` and the expected digest from DIGESTS, and any
+mismatch makes the exit status 1; a change that declares an output change
+updates DIGESTS. Last of all it prints the line count of the Python modules
+in src/unlearnlab.
 
     python3 scripts/check_reference.py
 """
@@ -32,6 +35,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+DIGESTS = {
+    "all files but manifest.json":
+        "f9600027fd26ad75adda025b955774df38288e94749baab2b15cd25f15e51022",
+    "saliency of the baselines":
+        "f836e1005d696c55ec26cdf83e86e4fa3b78b5f9b1d5cd7c5863b217c03d534c",
+    "strategy step logs": "ed032fe176935a96121c58ab2594466cafc7b7bdd9e1841b624adc870b788ea6",
+    "influence at seeds 1-2":
+        "68513699e18505c9743672936445abb25bde764ef1d478820e78c07c4124875a",
+}
 
 
 def main() -> int:
@@ -63,10 +75,12 @@ def main() -> int:
             if path.is_file() and path.name != "manifest.json":
                 digest.update(str(path.relative_to(tmp)).encode() + b"\0")
                 digest.update(path.read_bytes())
-        print(f"all files but manifest.json: sha256 {digest.hexdigest()}")
-        print(f"saliency of the baselines: sha256 {saliency_digest(cli, Path(tmp))}")
-        print(f"strategy step logs: sha256 {step_log_digest(hn, Path(tmp))}")
-        print(f"influence at seeds 1-2: sha256 {influence_digest(workloads, Path(tmp))}")
+        for label, value in zip(DIGESTS, (
+                digest.hexdigest(), saliency_digest(cli, Path(tmp)),
+                step_log_digest(hn, Path(tmp)), influence_digest(workloads, Path(tmp)))):
+            verdict = "ok" if value == DIGESTS[label] else f"MISMATCH: expected {DIGESTS[label]}"
+            failed += verdict != "ok"
+            print(f"{label}: sha256 {value} {verdict}")
     package = ROOT / "src" / "unlearnlab"
     lines = sum(len(p.read_bytes().splitlines()) for p in package.glob("*.py"))
     print(f"src/unlearnlab: {lines} lines")

@@ -71,13 +71,6 @@ def _checkpoint_for(bundle: bg.DataBundle, path,
     return model
 
 
-def _load_or_train_baseline(cfg, bundle, args):
-    if args.baseline:
-        return _checkpoint_for(bundle, args.baseline, "baseline checkpoint")
-    model, _, _ = hn.train_baseline(cfg, bundle, args.seed)
-    return model
-
-
 def cmd_generate(args) -> int:
     cfg = _config(args)
     bundle = hn.build_bundle(cfg, args.seed)
@@ -101,11 +94,15 @@ def cmd_train(args) -> int:
 def cmd_unlearn(args) -> int:
     cfg = _config(args)
     if args.strategy not in cfg.strategies:
-        raise hn.UserError(
-            f"strategy {args.strategy!r} is not listed in {cfg.name}'s config "
-            f"(has: {', '.join(cfg.strategies)})")
+        raise hn.UserError(f"{cfg.name}'s config has no [{args.strategy}] section "
+                           f"(has: {', '.join(cfg.strategies)})")
     bundle = hn.build_bundle(cfg, args.seed)
-    baseline = _load_or_train_baseline(cfg, bundle, args)
+    try:
+        hn.check_lora_rank(cfg, bundle)
+    except hn.ConfigError as e:
+        raise hn.ConfigError(f"{args.config}: {e}") from e
+    baseline = (_checkpoint_for(bundle, args.baseline, "baseline checkpoint") if args.baseline
+                else hn.train_baseline(cfg, bundle, args.seed)[0])
     gold = None
     if "teacher" in hn._parameters(ul.POST_HOC_STRATEGIES[args.strategy].run):
         gold = (_checkpoint_for(bundle, args.gold, "gold checkpoint") if args.gold

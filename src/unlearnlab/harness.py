@@ -33,8 +33,8 @@ from . import model as md
 from . import unlearn as ul
 
 # Sub-seed derivation: master seed plus one offset per role. Strategies add
-# 100 * (position in the config's strategy list) so reordering the list is
-# the only way to change a strategy's stream.
+# 100 * (position among the config's strategy sections) so reordering the
+# sections is the only way to change a strategy's stream.
 SEED_DATA = 1000
 SEED_BASELINE = 2000
 SEED_GOLD = 3000
@@ -55,7 +55,8 @@ class ConfigError(UserError):
 
 @dataclass
 class ExperimentConfig:
-    """One scenario experiment: data recipe, model, training, strategies."""
+    """One scenario experiment: data recipe, model, training, and the
+    strategies to run, {name: StrategyConfig without its seed} in run order."""
 
     name: str
     kind: str
@@ -63,8 +64,7 @@ class ExperimentConfig:
     hidden: int = 32
     head: str = "softmax"
     train: md.TrainConfig = field(default_factory=md.TrainConfig)
-    strategies: tuple = ()
-    strategy_params: dict = field(default_factory=dict)
+    strategies: dict = field(default_factory=dict)
     cobum_params: cb.CoBumParams = field(default_factory=cb.CoBumParams)
 
 
@@ -102,6 +102,9 @@ def _section(cp, section: str, fn, only=None, skip=(), tag="") -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config at path; ConfigError on anything malformed. Every section
+    but [scenario], [model], [train] and [cobum] names a post-hoc strategy
+    that runs, in file order, which sets its seed."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -119,27 +122,9 @@ def load_config(path) -> ExperimentConfig:
         known = ", ".join(sorted(bg.SCENARIOS))
         raise ConfigError(f"{path}: unknown scenario kind {kind!r} (known: {known})")
 
-    raw_strategies = cp.get("scenario", "strategies", fallback="")
-    strategies = tuple(raw_strategies.replace(",", " ").split())
-    for name in strategies:
-        if name == "hard":
-            raise ConfigError(
-                "'hard' runs implicitly as the gold reference; list only "
-                "post-hoc strategies")
-        if name not in ul.POST_HOC_STRATEGIES:
-            known = ", ".join(ul.POST_HOC_STRATEGIES)
-            raise ConfigError(f"unknown strategy {name!r} (known: {known})")
-        if strategies.count(name) > 1:  # both would run with one seed
-            raise ConfigError(f"strategy {name!r} is listed more than once")
-        if ("counterfactual" in _parameters(ul.POST_HOC_STRATEGIES[name].run)
-                and bg.SCENARIOS[kind].counterfactual is None):
-            raise ConfigError(
-                f"{name} needs a counterfactual recipe; none exists for {kind!r}")
-
-    scen = _section(cp, "scenario", bg.SCENARIOS[kind].generate,
-                    skip=("kind", "strategies"), tag=f" ({kind})")
+    scen = _section(cp, "scenario", bg.SCENARIOS[kind].generate, skip=("kind",),
+                    tag=f" ({kind})")
     cfg = ExperimentConfig(name=path.stem, kind=kind, scenario_params=scen,
-                           strategies=strategies,
                            train=md.TrainConfig(**_section(cp, "train", md.TrainConfig)),
                            **_section(cp, "model", ExperimentConfig, only=("hidden", "head")))
 
@@ -155,24 +140,25 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("[train] needs epochs >= 1, batch_size >= 1, "
                           "and a finite learning_rate > 0")
 
-    for name in strategies:
+    for name in (s for s in cp.sections() if s not in ("scenario", "model", "train", "cobum")):
+        if name == "hard":
+            raise ConfigError("[hard]: 'hard' runs implicitly as the gold reference")
+        if name not in ul.POST_HOC_STRATEGIES:
+            raise ConfigError(f"{path}: unknown section [{name}] (known strategies: "
+                              f"{', '.join(ul.POST_HOC_STRATEGIES)})")
+        if ("counterfactual" in _parameters(ul.POST_HOC_STRATEGIES[name].run)
+                and bg.SCENARIOS[kind].counterfactual is None):
+            raise ConfigError(f"{name} needs a counterfactual recipe; none exists for {kind!r}")
         params = _section(cp, name, ul.StrategyConfig, only=ul.POST_HOC_STRATEGIES[name].reads)
         try:
-            ul.StrategyConfig(seed=0, **params)
+            cfg.strategies[name] = ul.StrategyConfig(**params)
         except ValueError as e:
             raise ConfigError(f"[{name}]: {e}") from e
-        cfg.strategy_params[name] = params
 
     try:
         cfg.cobum_params = cb.CoBumParams(**_section(cp, "cobum", cb.CoBumParams))
     except ValueError as e:
         raise ConfigError(f"[cobum]: {e}") from e
-
-    known = {"scenario", "model", "train", "cobum", *strategies}
-    extra = [s for s in cp.sections() if s not in known]
-    if extra:
-        raise ConfigError(f"{path}: unknown sections {extra} "
-                          "(strategy sections need the strategy listed)")
     return cfg
 
 
@@ -195,6 +181,17 @@ def build_bundle(cfg: ExperimentConfig, master_seed: int) -> bg.DataBundle:
 def model_arch(cfg: ExperimentConfig, bundle: bg.DataBundle) -> list:
     out_dim = 1 if cfg.head == "sigmoid" else bundle.n_classes
     return [bundle.d_s + bundle.d_b, cfg.hidden, out_dim]
+
+
+def check_lora_rank(cfg: ExperimentConfig, bundle: bg.DataBundle) -> None:
+    """ConfigError if cfg runs LoRA at a rank that its adapter layer cannot
+    take: md.attach_lora alone states the bound, tried on a throwaway model."""
+    if "lora" in cfg.strategies:
+        model = md.init_model(model_arch(cfg, bundle), cfg.head, 0)
+        try:
+            md.attach_lora(model, [ul.adapter_layer_index(model)], cfg.strategies["lora"].rank, 0)
+        except ValueError as e:
+            raise ConfigError(f"[lora] {e}") from e
 
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> md.TrainConfig:
@@ -294,12 +291,12 @@ def train_gold(cfg: ExperimentConfig, bundle: bg.DataBundle,
 def run_strategy(name: str, cfg: ExperimentConfig, bundle: bg.DataBundle,
                  baseline: md.ModelParams, gold: md.ModelParams | None,
                  master_seed: int) -> ul.UnlearnResult:
-    """Run one post-hoc strategy on the shared baseline. Its function gets
-    gold as teacher, and D_c as counterfactual, only if it takes them."""
-    position = cfg.strategies.index(name)
+    """Run one post-hoc strategy on the shared baseline, seeded by its place
+    in cfg.strategies. Its function gets gold as teacher, and D_c as
+    counterfactual, only if it takes them."""
     run = ul.POST_HOC_STRATEGIES[name].run
-    scfg = ul.StrategyConfig(seed=master_seed + SEED_STRATEGY + 100 * position,
-                             **cfg.strategy_params[name])
+    scfg = dataclasses.replace(cfg.strategies[name], seed=master_seed + SEED_STRATEGY
+                               + 100 * list(cfg.strategies).index(name))
     extra = {"teacher": gold} if "teacher" in _parameters(run) else {}
     if "counterfactual" in _parameters(run):
         extra["counterfactual"] = bg.build_counterfactual(
@@ -528,6 +525,7 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
 
     with stage("generate"):
         bundle = build_bundle(cfg, master_seed)
+        check_lora_rank(cfg, bundle)
         bg.save_bundle(bundle, out / "bundle.csv")
         manifest.reports["bundle"] = str(out / "bundle.csv")
 

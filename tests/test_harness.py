@@ -32,7 +32,6 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 TINY_PATCH = """
 [scenario]
 kind = patch
-strategies = gradient_ascent lora
 n_per_class = 20
 n_classes = 3
 target_class = 0
@@ -98,10 +97,10 @@ def test_attribute_config_omits_fmd():
 def test_tiny_config_values(tiny_config):
     cfg = hn.load_config(tiny_config)
     assert cfg.kind == "patch"
-    assert cfg.strategies == ("gradient_ascent", "lora")
+    assert list(cfg.strategies) == ["gradient_ascent", "lora"]
     assert cfg.hidden == 8
     assert cfg.train.epochs == 10
-    assert cfg.strategy_params["gradient_ascent"] == {"eta": 1e-4, "steps": 3}
+    assert cfg.strategies["gradient_ascent"] == ul.StrategyConfig(eta=1e-4, steps=3)
     assert cfg.scenario_params["n_per_class"] == 20
 
 
@@ -118,16 +117,14 @@ def test_unknown_scenario_kind(tmp_path):
 
 
 def test_unknown_strategy_rejected(tmp_path, tiny_config):
-    text = tiny_config.read_text().replace(
-        "strategies = gradient_ascent lora", "strategies = gradient_descent")
+    text = tiny_config.read_text() + "\n[gradient_descent]\neta = 1e-3\n"
     path = write_config(tmp_path, text)
     with pytest.raises(hn.ConfigError, match="gradient_descent"):
         hn.load_config(path)
 
 
 def test_hard_not_listable(tmp_path, tiny_config):
-    text = tiny_config.read_text().replace(
-        "strategies = gradient_ascent lora", "strategies = hard")
+    text = tiny_config.read_text() + "\n[hard]\n"
     path = write_config(tmp_path, text)
     with pytest.raises(hn.ConfigError, match="gold reference"):
         hn.load_config(path)
@@ -137,9 +134,10 @@ def test_fmd_rejected_without_counterfactual_recipe(tmp_path):
     path = write_config(tmp_path, """
 [scenario]
 kind = attribute
-strategies = fmd
 n = 200
 corr_ratio = 4.0
+
+[fmd]
 """)
     with pytest.raises(hn.ConfigError, match="counterfactual"):
         hn.load_config(path)
@@ -167,11 +165,11 @@ def test_invalid_strategy_param_names_section(tmp_path, tiny_config):
         hn.load_config(path)
 
 
-def test_unlisted_strategy_section_rejected(tmp_path, tiny_config):
+def test_a_strategy_section_runs_the_strategy(tmp_path, tiny_config):
     text = tiny_config.read_text() + "\n[scrub]\neta = 1e-2\n"
-    path = write_config(tmp_path, text)
-    with pytest.raises(hn.ConfigError, match="unknown sections"):
-        hn.load_config(path)
+    cfg = hn.load_config(write_config(tmp_path, text))
+    assert list(cfg.strategies) == ["gradient_ascent", "lora", "scrub"]
+    assert cfg.strategies["scrub"] == ul.StrategyConfig(eta=1e-2)
 
 
 # What each strategy reads; every other StrategyConfig key is an error in its section.
@@ -187,20 +185,20 @@ TINY_SCENARIO = TINY_PATCH.split("[model]")[0]
 
 
 def test_strategy_sections_accept_the_keys_they_read(tmp_path):
-    text = TINY_SCENARIO.replace("gradient_ascent lora", " ".join(STRATEGY_READS))
+    text = TINY_SCENARIO
     for name, keys in STRATEGY_READS.items():
         text += f"\n[{name}]\n" + "".join(f"{k} = {STRATEGY_VALUES[k]}\n" for k in keys)
     cfg = hn.load_config(write_config(tmp_path, text))
     for name, keys in STRATEGY_READS.items():
-        assert cfg.strategy_params[name] == {k: STRATEGY_VALUES[k] for k in keys}
+        assert cfg.strategies[name] == ul.StrategyConfig(
+            **{k: STRATEGY_VALUES[k] for k in keys}), name
 
 
 @pytest.mark.parametrize("strategy,key", [
     (name, key) for name, reads in STRATEGY_READS.items()
     for key in STRATEGY_VALUES if key not in reads])
 def test_strategy_section_rejects_keys_it_ignores(tmp_path, capsys, strategy, key):
-    text = TINY_SCENARIO.replace("gradient_ascent lora", strategy)
-    path = write_config(tmp_path, text + f"\n[{strategy}]\n{key} = {STRATEGY_VALUES[key]}\n")
+    path = write_config(tmp_path, TINY_SCENARIO + f"\n[{strategy}]\n{key} = {STRATEGY_VALUES[key]}\n")
     with pytest.raises(hn.ConfigError, match=rf"\[{strategy}\] has unknown key '{key}'"):
         hn.load_config(path)
     assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -240,7 +238,6 @@ def test_new_scenario_is_a_generator_and_one_record(tmp_path, monkeypatch):
     path = write_config(tmp_path, """
 [scenario]
 kind = toy
-strategies = gradient_ascent
 n = 200
 shift = 3
 
@@ -258,7 +255,7 @@ head = sigmoid
         hn.load_config(write_config(tmp_path, "[scenario]\nkind = toy\n", "bare.cfg"))
     with pytest.raises(hn.ConfigError, match="counterfactual"):
         hn.load_config(write_config(
-            tmp_path, "[scenario]\nkind = toy\nstrategies = fmd\nn = 200\n", "fmd.cfg"))
+            tmp_path, "[scenario]\nkind = toy\nn = 200\n[fmd]\n", "fmd.cfg"))
 
 
 def test_missing_required_scenario_keys(tmp_path):
@@ -307,13 +304,56 @@ def test_unknown_model_key_names_the_known_keys(tmp_path, tiny_config):
 
 
 def test_strategy_listed_twice_rejected(tmp_path, tiny_config, capsys):
-    text = tiny_config.read_text().replace("gradient_ascent lora", "lora gradient_ascent lora")
-    path = write_config(tmp_path, text)
-    with pytest.raises(hn.ConfigError, match="'lora' is listed more than once"):
+    path = write_config(tmp_path, tiny_config.read_text() + "\n[lora]\nrank = 1\n")
+    with pytest.raises(hn.ConfigError, match="section 'lora' already exists"):
         hn.load_config(path)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
-    assert "'lora' is listed more than once" in capsys.readouterr().err
+    assert "section 'lora' already exists" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_section_order_sets_each_strategy_seed(tmp_path, monkeypatch):
+    seeds = {}
+    for function in ("gradient_ascent", "lora_unlearn"):
+        def spy(*args, _function=function, cfg, **kwargs):
+            seeds[_function] = cfg.seed
+        monkeypatch.setattr(ul, function, functools.wraps(getattr(ul, function))(spy))
+    head, rest = TINY_PATCH.split("[gradient_ascent]")
+    ga, lora = rest.split("[lora]")
+    swapped = head + "[lora]" + lora + "\n[gradient_ascent]" + ga
+    for text, first, second in ((TINY_PATCH, "gradient_ascent", "lora_unlearn"),
+                                (swapped, "lora_unlearn", "gradient_ascent")):
+        cfg = hn.load_config(write_config(tmp_path, text))
+        bundle = hn.build_bundle(cfg, 7)
+        for name in cfg.strategies:
+            hn.run_strategy(name, cfg, bundle, object(), None, 7)
+        assert seeds == {first: 7 + hn.SEED_STRATEGY, second: 7 + hn.SEED_STRATEGY + 100}
+    assert cfg.strategies["lora"] == ul.StrategyConfig(eta=1e-3, rank=2, steps=3)
+
+
+def test_an_empty_strategy_section_runs_on_defaults(tmp_path, monkeypatch):
+    got = []
+    monkeypatch.setattr(ul, "scrub_unlearn", functools.wraps(ul.scrub_unlearn)(
+        lambda model, *, bundle, cfg, teacher: got.append(cfg)))
+    cfg = hn.load_config(write_config(tmp_path, TINY_SCENARIO + "\n[scrub]\n"))
+    assert cfg.strategies == {"scrub": ul.StrategyConfig()}
+    hn.run_strategy("scrub", cfg, hn.build_bundle(cfg, 7), object(), object(), 7)
+    assert got == [ul.StrategyConfig(seed=7 + hn.SEED_STRATEGY)]
+
+
+@pytest.mark.parametrize("text,expect", [
+    (TINY_PATCH.replace("kind = patch", "kind = patch\nstrategies = gradient_ascent lora"),
+     "[scenario] has unknown key 'strategies'"),
+    (TINY_PATCH + "\n[hard]\n", "[hard]: 'hard' runs implicitly as the gold reference"),
+    (TINY_PATCH + "\n[scrubs]\neta = 1e-2\n",
+     "unknown section [scrubs] (known strategies: gradient_ascent, lora, scrub, fmd)"),
+], ids=["strategies-key", "hard", "unknown-section"])
+def test_cli_run_rejects_sections_that_name_no_strategy(tmp_path, capsys, text, expect):
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 2
+    assert expect in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -643,15 +683,15 @@ def test_run_experiment_reads_no_checkpoint(tmp_path, monkeypatch):
     assert loads == []
 
 
-def test_failed_strategy_marks_row_and_keeps_siblings(tmp_path, tiny_config):
-    text = tiny_config.read_text().replace("rank = 2", "rank = 10")
-    path = write_config(tmp_path, text)
-    cfg = hn.load_config(path)
+def test_failed_strategy_marks_row_and_keeps_siblings(tmp_path, tiny_config, monkeypatch):
+    def reject(*args, **kwargs):
+        raise ValueError("lora_unlearn: rejected")
+    monkeypatch.setattr(ul, "lora_unlearn", reject)
+    cfg = hn.load_config(tiny_config)
     out = tmp_path / "run"
-    manifest = hn.run_experiment(cfg, 7, out, config_path=path)
+    manifest = hn.run_experiment(cfg, 7, out, config_path=tiny_config)
     assert manifest.failed_stage is None
-    assert "lora" in manifest.failed_strategies
-    assert "rank" in manifest.failed_strategies["lora"]
+    assert manifest.failed_strategies == {"lora": "ValueError: lora_unlearn: rejected"}
     assert manifest.wall_seconds["lora"] >= 0.0
     lines = (out / "results.csv").read_text(encoding="utf-8").splitlines()
     lora_line = next(line for line in lines if line.startswith("LoRA,"))
@@ -1042,6 +1082,19 @@ def test_cli_checkpoint_shape_mismatch_is_operator_error(
     assert "other.ckpt" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("stage", [["run"], ["unlearn", "--strategy", "lora"]])
+def test_lora_rank_the_model_cannot_take_fails_before_training(tmp_path, capsys, monkeypatch,
+                                                               stage):
+    config = write_config(tmp_path, TINY_PATCH.replace("rank = 2", "rank = 64"))
+    monkeypatch.setattr(md, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    out = tmp_path / "o"
+    assert cli.main([*stage, "--config", str(config), "--out", str(out)]) == 2
+    assert "[lora] rank 64 outside [1, 8] for layer 0" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.ckpt")) and not (out / "bundle.csv").exists()
+    at_bound = hn.load_config(write_config(tmp_path, TINY_PATCH.replace("rank = 2", "rank = 8")))
+    hn.check_lora_rank(at_bound, hn.build_bundle(at_bound, 1))
+
+
 def test_cli_unlearn_strategy_must_be_configured(tiny_config, tmp_path, capsys):
     code = cli.main(["unlearn", "--config", str(tiny_config), "--strategy",
                      "scrub", "--out", str(tmp_path / "o")])
@@ -1235,12 +1288,11 @@ TRACED = {
 }
 
 TINY_RUNS = {
-    "patch": TINY_PATCH.replace("gradient_ascent lora", "gradient_ascent lora scrub fmd")
-    + "\n[scrub]\neta = 1e-3\nsteps = 2\n\n[fmd]\ndamping = 1.0\nfinetune_steps = 1\n",
-    "attribute": "[scenario]\nkind = attribute\nstrategies = gradient_ascent\n"
+    "patch": TINY_PATCH + "\n[scrub]\neta = 1e-3\nsteps = 2\n\n[fmd]\ndamping = 1.0\nfinetune_steps = 1\n",
+    "attribute": "[scenario]\nkind = attribute\n"
                  "n = 200\ncorr_ratio = 4.0\n[train]\nepochs = 2\n"
                  "[gradient_ascent]\nsteps = 2\n",
-    "pose": "[scenario]\nkind = pose\nstrategies = fmd\nn = 90\nn_classes = 3\n"
+    "pose": "[scenario]\nkind = pose\nn = 90\nn_classes = 3\n"
             "skew = 0.5\n[train]\nepochs = 2\n[fmd]\ndamping = 1.0\n",
 }
 
