@@ -520,11 +520,12 @@ def fmd_unlearn(
 @dataclass(frozen=True)
 class Strategy:
     """A post-hoc strategy: its table label, the StrategyConfig fields it
-    reads (its config section's keys), and the name of its function, which
-    run looks up on this module at each call. run takes the model, then
-    bundle and cfg by keyword, and teacher (the gold model) or counterfactual
-    (FMD's D_c) if the function has that parameter. The function alone
-    decides which inputs it accepts: it raises ValueError on any it rejects."""
+    reads (its config section's keys; a config runs it if it has the
+    section), and the name of its function, which run looks up on this
+    module at each call. run takes the model, then bundle and cfg by
+    keyword, and teacher (the gold model) or counterfactual (FMD's D_c) if
+    the function has that parameter. The function alone decides which
+    inputs it accepts: it raises ValueError on any it rejects."""
 
     label: str
     reads: tuple[str, ...]

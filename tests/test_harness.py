@@ -198,7 +198,8 @@ def test_strategy_sections_accept_the_keys_they_read(tmp_path):
     (name, key) for name, reads in STRATEGY_READS.items()
     for key in STRATEGY_VALUES if key not in reads])
 def test_strategy_section_rejects_keys_it_ignores(tmp_path, capsys, strategy, key):
-    path = write_config(tmp_path, TINY_SCENARIO + f"\n[{strategy}]\n{key} = {STRATEGY_VALUES[key]}\n")
+    path = write_config(tmp_path,
+                        TINY_SCENARIO + f"\n[{strategy}]\n{key} = {STRATEGY_VALUES[key]}\n")
     with pytest.raises(hn.ConfigError, match=rf"\[{strategy}\] has unknown key '{key}'"):
         hn.load_config(path)
     assert cli.main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -1288,7 +1289,8 @@ TRACED = {
 }
 
 TINY_RUNS = {
-    "patch": TINY_PATCH + "\n[scrub]\neta = 1e-3\nsteps = 2\n\n[fmd]\ndamping = 1.0\nfinetune_steps = 1\n",
+    "patch": TINY_PATCH
+    + "\n[scrub]\neta = 1e-3\nsteps = 2\n\n[fmd]\ndamping = 1.0\nfinetune_steps = 1\n",
     "attribute": "[scenario]\nkind = attribute\n"
                  "n = 200\ncorr_ratio = 4.0\n[train]\nepochs = 2\n"
                  "[gradient_ascent]\nsteps = 2\n",
