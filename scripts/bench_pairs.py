@@ -20,7 +20,8 @@ the parent's own quartile spread is wider than that, so the runs cannot tell,
 unless every run of the change beat every run of the parent. It also records
 the environment the runs reported (nproc, numpy, BLAS and its thread
 settings) and each checkout's commit, with whether its tree differs from that
-commit. Metric directions and bounds come from the change's
+commit, or null for both when the checkout is not the top of a git work tree.
+Metric directions and bounds come from the change's
 ``BENCHMARK.json``.
 """
 
@@ -104,7 +105,12 @@ def git(checkout: Path, *argv: str) -> str:
 
 
 def provenance(checkout: Path) -> dict:
-    """The checkout's commit, and whether its tree differs from that commit."""
+    """The checkout's commit, and whether its tree differs from that commit;
+    both null unless the checkout is the top of a git work tree, since a
+    plain copy has no commit and a copy inside another tree is not its HEAD."""
+    top = git(checkout, "rev-parse", "--show-toplevel")
+    if not top or Path(top).resolve() != checkout.resolve():
+        return {"commit": None, "dirty": None}
     return {"commit": git(checkout, "rev-parse", "HEAD") or None,
             "dirty": bool(git(checkout, "status", "--porcelain"))}
 

@@ -491,7 +491,7 @@ def embed(v, start: int, total: int) -> Tensor:
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view shape {a.shape} as {shape}")
     return _node(_RESHAPE, (a,), shape)
 

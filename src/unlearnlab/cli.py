@@ -94,13 +94,10 @@ def cmd_train(args) -> int:
 def cmd_unlearn(args) -> int:
     cfg = _config(args)
     if args.strategy not in cfg.strategies:
-        raise hn.UserError(f"{cfg.name}'s config has no [{args.strategy}] section "
+        raise hn.UserError(f"{cfg.path} has no [{args.strategy}] section "
                            f"(has: {', '.join(cfg.strategies)})")
     bundle = hn.build_bundle(cfg, args.seed)
-    try:
-        hn.check_lora_rank(cfg, bundle)
-    except hn.ConfigError as e:
-        raise hn.ConfigError(f"{args.config}: {e}") from e
+    hn.check_lora_rank(cfg, bundle)
     baseline = (_checkpoint_for(bundle, args.baseline, "baseline checkpoint") if args.baseline
                 else hn.train_baseline(cfg, bundle, args.seed)[0])
     gold = None

@@ -55,12 +55,14 @@ class ConfigError(UserError):
 
 @dataclass
 class ExperimentConfig:
-    """One scenario experiment: data recipe, model, training, and the
-    strategies to run, {name: StrategyConfig without its seed} in run order."""
+    """One scenario experiment, loaded from path: data recipe, model,
+    training, and the strategies to run, {name: StrategyConfig without its
+    seed} in run order."""
 
     name: str
     kind: str
     scenario_params: dict
+    path: Path
     hidden: int = 32
     head: str = "softmax"
     train: md.TrainConfig = field(default_factory=md.TrainConfig)
@@ -102,29 +104,36 @@ def _section(cp, section: str, fn, only=None, skip=(), tag="") -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    """The config at path; ConfigError on anything malformed. Every section
-    but [scenario], [model], [train] and [cobum] names a post-hoc strategy
-    that runs, in file order, which sets its seed."""
+    """The config at path; ConfigError naming path on anything malformed.
+    Every section but [scenario], [model], [train] and [cobum] names a
+    post-hoc strategy that runs, in file order, which sets its seed."""
     path = Path(path)
+    try:
+        return _read_config(path)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _read_config(path: Path) -> ExperimentConfig:
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError("config file not found")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:  # ConfigParser.read would skip a path it cannot open, a directory say
         with path.open(encoding="utf-8") as f:
             cp.read_file(f, source=str(path))
     except (OSError, configparser.Error, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ConfigError(str(e)) from e
     if not cp.has_section("scenario"):
-        raise ConfigError(f"{path}: missing [scenario] section")
+        raise ConfigError("missing [scenario] section")
 
     kind = cp.get("scenario", "kind", fallback=None)
     if kind not in bg.SCENARIOS:
         known = ", ".join(sorted(bg.SCENARIOS))
-        raise ConfigError(f"{path}: unknown scenario kind {kind!r} (known: {known})")
+        raise ConfigError(f"unknown scenario kind {kind!r} (known: {known})")
 
     scen = _section(cp, "scenario", bg.SCENARIOS[kind].generate, skip=("kind",),
                     tag=f" ({kind})")
-    cfg = ExperimentConfig(name=path.stem, kind=kind, scenario_params=scen,
+    cfg = ExperimentConfig(name=path.stem, kind=kind, scenario_params=scen, path=path,
                            train=md.TrainConfig(**_section(cp, "train", md.TrainConfig)),
                            **_section(cp, "model", ExperimentConfig, only=("hidden", "head")))
 
@@ -144,7 +153,7 @@ def load_config(path) -> ExperimentConfig:
         if name == "hard":
             raise ConfigError("[hard]: 'hard' runs implicitly as the gold reference")
         if name not in ul.POST_HOC_STRATEGIES:
-            raise ConfigError(f"{path}: unknown section [{name}] (known strategies: "
+            raise ConfigError(f"unknown section [{name}] (known strategies: "
                               f"{', '.join(ul.POST_HOC_STRATEGIES)})")
         if ("counterfactual" in _parameters(ul.POST_HOC_STRATEGIES[name].run)
                 and bg.SCENARIOS[kind].counterfactual is None):
@@ -175,7 +184,7 @@ def build_bundle(cfg: ExperimentConfig, master_seed: int) -> bg.DataBundle:
         return bg.SCENARIOS[cfg.kind].generate(seed=master_seed + SEED_DATA,
                                               **cfg.scenario_params)
     except ValueError as e:
-        raise ConfigError(f"config {cfg.name!r}: [scenario] ({cfg.kind}): {e}") from e
+        raise ConfigError(f"{cfg.path}: [scenario] ({cfg.kind}): {e}") from e
 
 
 def model_arch(cfg: ExperimentConfig, bundle: bg.DataBundle) -> list:
@@ -191,7 +200,7 @@ def check_lora_rank(cfg: ExperimentConfig, bundle: bg.DataBundle) -> None:
         try:
             md.attach_lora(model, [ul.adapter_layer_index(model)], cfg.strategies["lora"].rank, 0)
         except ValueError as e:
-            raise ConfigError(f"[lora] {e}") from e
+            raise ConfigError(f"{cfg.path}: [lora] {e}") from e
 
 
 def _train_config(cfg: ExperimentConfig, seed: int) -> md.TrainConfig:

@@ -366,7 +366,7 @@ def flat_param_closure(model: ModelParams, scope: str = "all"):
         pieces = []
         pos = 0
         for shp in shapes:
-            size = int(np.prod(shp))
+            size = math.prod(shp)
             pieces.append(ad.reshape(ad.narrow(flat, pos, size), shp))
             pos += size
         return [(pieces[2 * i], pieces[2 * i + 1]) for i in range(len(which))]

@@ -21,7 +21,6 @@ FMD's cost stays n_c * (1 + 2 * iterations).
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import math
 import weakref
@@ -352,10 +351,15 @@ class InfluenceResult:
     residual_norm: float
 
 
-# bias_measure -> (digest of everything its last damped solve read, that
-# solve). Keyed on the measure object, not its content, so a new measure
-# always solves afresh.
+# bias_measure -> (the settings of its last damped solve with the dtype and
+# shape of each array it read, copies of those arrays, that solve). Keyed on
+# the measure object, not its content, so a new measure always solves afresh.
 _SOLVES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _raw(a: np.ndarray) -> np.ndarray:
+    """a's C-contiguous bytes as a flat uint8 array."""
+    return np.ascontiguousarray(a).reshape(-1).view(np.uint8)
 
 
 def influence(
@@ -379,30 +383,26 @@ def influence(
 
     The damped solve (H + damping*I)^{-1} grad(B) does not read the sample,
     so rows scored against one live measure object share one solve. It is
-    reused while the effective weights, the training rows, grad(B) (taken
-    afresh each call), the head, scope, damping, max_iter and tol stay
-    bitwise equal, and solved again otherwise; a measure that cannot be
-    weakly referenced solves on every call. Either way the bits match a
-    fresh solve.
+    reused while the copies it kept of what it read (the effective weights,
+    the training records and grad(B), taken afresh each call) match them in
+    dtype, shape and bytes and the head, scope, damping, max_iter and tol
+    are unchanged; a measure that cannot be weakly referenced solves on
+    every call. Either way the bits match a fresh solve.
     """
-    theta0, _ = md.flat_param_closure(model, scope)
+    theta0, sample_fn = loss_closure(model, sample, scope)
     g_bias = _flat_grad(bias_measure, theta0)
-    h = hashlib.sha256(repr((scope, model.head, damping, max_iter, tol)).encode())
-    weights = [t.data for W, b in md.effective_weights(model) for t in (W, b)]
-    for a in (*weights, *bg.stack(train_samples)[:2], g_bias):
-        h.update(repr((a.dtype.str, a.shape)).encode())
-        h.update(np.ascontiguousarray(a))
-    digest = h.digest()
+    read = [t.data for W, b in md.effective_weights(model) for t in (W, b)]
+    read += [train_samples, g_bias]
+    key = (repr((scope, model.head, damping, max_iter, tol)), [(a.dtype, a.shape) for a in read])
     try:
-        seen, solve = _SOLVES[bias_measure]
+        seen, kept, solve = _SOLVES[bias_measure]
     except (KeyError, TypeError):  # TypeError: not weakly referenceable
         seen = None
-    if seen != digest:
+    if seen != key or not all(np.array_equal(_raw(k), _raw(a)) for k, a in zip(kept, read)):
         _, train_fn = loss_closure(model, train_samples, scope)
         solve = _damped_solve(train_fn, theta0, g_bias, damping, max_iter, tol)
         with contextlib.suppress(TypeError):
-            _SOLVES[bias_measure] = (digest, solve)
-    _, sample_fn = loss_closure(model, sample, scope)
+            _SOLVES[bias_measure] = (key, [a.copy() for a in read], solve)
     value = -float(_flat_grad(sample_fn, theta0) @ solve.x)
     return InfluenceResult(value, solve.converged, solve.iterations, solve.residual_norm)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,27 @@ def test_main_keeps_each_runs_load_beside_its_values(tmp_path, monkeypatch):
     assert work["load_1m"] == {"parent": [0.1, 0.4, 0.5], "change": [0.2, 0.3, 0.6]}
     assert work["metrics"]["ops_per_s"]["parent"]["runs"] == [1.0, 4.0, 5.0]
     assert "loadavg" not in report["environment"]["parent"]
+
+
+def git(cwd, *argv):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv], cwd=cwd,
+                   check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_provenance_reads_a_commit_only_at_the_top_of_its_work_tree(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.provenance(plain) == {"commit": None, "dirty": None}
+    repo = tmp_path / "repo"
+    (repo / "copy").mkdir(parents=True)
+    (repo / "copy" / "run.py").write_text("")
+    git(repo, "init", "-q")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "seed")
+    assert bench_pairs.provenance(repo / "copy") == {"commit": None, "dirty": None}
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench_pairs.provenance(repo) == {"commit": head, "dirty": False}
+    (repo / "copy" / "run.py").write_text("changed")
+    assert bench_pairs.provenance(repo) == {"commit": head, "dirty": True}

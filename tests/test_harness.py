@@ -351,10 +351,10 @@ def test_an_empty_strategy_section_runs_on_defaults(tmp_path, monkeypatch):
      "unknown section [scrubs] (known strategies: gradient_ascent, lora, scrub, fmd)"),
 ], ids=["strategies-key", "hard", "unknown-section"])
 def test_cli_run_rejects_sections_that_name_no_strategy(tmp_path, capsys, text, expect):
-    out = tmp_path / "o"
-    assert cli.main(["run", "--config", str(write_config(tmp_path, text)),
-                     "--out", str(out)]) == 2
-    assert expect in capsys.readouterr().err
+    out, config = tmp_path / "o", write_config(tmp_path, text, "old.cfg")
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert expect in err and f"error: {config}: " in err
     assert not (out / "manifest.json").exists()
 
 
@@ -1090,7 +1090,7 @@ def test_lora_rank_the_model_cannot_take_fails_before_training(tmp_path, capsys,
     monkeypatch.setattr(md, "train", lambda *args, **kwargs: pytest.fail("trained"))
     out = tmp_path / "o"
     assert cli.main([*stage, "--config", str(config), "--out", str(out)]) == 2
-    assert "[lora] rank 64 outside [1, 8] for layer 0" in capsys.readouterr().err
+    assert f"{config}: [lora] rank 64 outside [1, 8] for layer 0" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.ckpt")) and not (out / "bundle.csv").exists()
     at_bound = hn.load_config(write_config(tmp_path, TINY_PATCH.replace("rank = 2", "rank = 8")))
     hn.check_lora_rank(at_bound, hn.build_bundle(at_bound, 1))
@@ -1100,7 +1100,7 @@ def test_cli_unlearn_strategy_must_be_configured(tiny_config, tmp_path, capsys):
     code = cli.main(["unlearn", "--config", str(tiny_config), "--strategy",
                      "scrub", "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "scrub" in capsys.readouterr().err
+    assert f"{tiny_config} has no [scrub] section" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--gold", "--baseline"])
@@ -1271,8 +1271,16 @@ def test_cli_bad_generator_value_is_operator_error(tmp_path, capsys, stage, key,
     code = cli.main([stage, "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert key in err and "pose-bad" in err and "(pose)" in err
+    assert key in err and f"{config}: [scenario] (pose)" in err
     assert not (out / "bundle.csv").exists()
+
+
+def test_cli_bad_patch_fraction_names_the_config_file(tmp_path, capsys):
+    text = TINY_PATCH.replace("patch_fraction = 0.5", "patch_fraction = 1.5")
+    config = write_config(tmp_path, text, "bad_frac.cfg")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"{config}: [scenario] (patch): patch_fraction=1.5 outside [0, 1]" in (
+        capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------
