@@ -10,9 +10,11 @@ side runs first. Both runs of a pair use the same workload seed, and each
 pair its own (``--seed``, ``--seed + 1``, ...). The result line of every run
 is parsed, and ``BENCH_<pr>.json`` records, per workload and end-to-end
 metric, each side's runs with their median and quartiles, how many pairs
-each side won (ties count for neither), and whether the median gap exceeds
-the parent's quartile spread, beside each side's 1-minute load average at
-the start of each run, so that a pair lost under host load shows as one.
+each side won (ties count for neither), whether the median gap exceeds the
+parent's quartile spread, and ``claim_met``: the change won at least 9 in
+10 pairs and that gap exceeds the spread, the rule a claimed gain must meet.
+Each run's 1-minute load average at its start sits beside its values, so
+that a pair lost under host load shows as one.
 Two flags read each metric against its bound:
 ``within_bound`` when the change's median is worse than the parent's by at
 most the bound (a fraction of the parent's median), and ``unresolved`` when
@@ -85,13 +87,15 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     p, c = summary(parent), summary(change)
     gap = sign * (c["median"] - p["median"])
     iqr, allowed = p["q3"] - p["q1"], spec["bound"] * abs(p["median"])
+    wins = sum(sign * (b - a) > 0 for a, b in zip(parent, change))
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": p, "change": c,
-        "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
+        "change_wins": wins,
         "parent_wins": sum(sign * (a - b) > 0 for a, b in zip(parent, change)),
         "change_over_parent": c["median"] / p["median"] if p["median"] else None,
         "gap_exceeds_parent_iqr": gap > iqr,
+        "claim_met": 10 * wins >= 9 * len(parent) and gap > iqr,
         "within_bound": gap >= -allowed,
         "unresolved": iqr > allowed and not min(sign * b for b in change) > max(
             sign * a for a in parent),

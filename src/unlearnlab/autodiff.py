@@ -38,6 +38,9 @@ arrays in place. A ``StepPlan`` does the same for a minibatch step: it tapes
 the step once per batch shape and replays the forwards its outputs depend on,
 and its fixed backward, on each new batch (trace once, as in Frostig, Johnson
 & Leary 2018, "Compiling machine learning programs via high-level tracing").
+Within one forward, a second ``softmax_xent`` on the same logits node
+(SCRUB's retain KL and task loss) reuses the first one's ``log_softmax``,
+keyed on the logits array object as the transposed copies are.
 
 Two fused primitives replace common chains with one node each and the same
 arithmetic: ``linear`` (a dense layer) and ``softmax_xent`` (cross-entropy of
@@ -233,7 +236,8 @@ _MATMUL = _Prim("matmul", lambda c, a, b: (a @ b, {}),
                                     _transposed(n, 0) @ g if need[1] else None),
                 lambda n, g, need: (matmul(g, transpose(n.parents[1])) if need[0] else None,
                                     matmul(transpose(n.parents[0]), g) if need[1] else None))
-_LINEAR = _Prim("linear", lambda c, h, W, b: (h @ W.T.copy() + b, {}),
+# linear adds b into the fresh product: the sums of h @ W.T.copy() + b, one array fewer.
+_LINEAR = _Prim("linear", lambda c, h, W, b: (np.add(out := h @ W.T.copy(), b, out=out), {}),
                 lambda n, g, need: (g @ n.parents[1].data if need[0] else None,
                                     (_transposed(n, 0) @ g).T.copy() if need[1] else None,
                                     g.sum(axis=0) if need[2] else None),
@@ -350,9 +354,15 @@ def _log_softmax_taped_vjp(a: Tensor, g: Tensor) -> Tensor:
     return sub(g, mul(exp(log_softmax(a)), colbcast(rowsum(g), a.shape[1])))
 
 
+# The last softmax_xent forward's logits array and log_softmax (see the module
+# docstring): held, so no other array can take the logits' id.
+_last_xent: list = [None, None]
+
+
 def _xent(c, z, P):
-    logp = _log_softmax(z)
-    return (P * logp).sum() * c, logp
+    if _last_xent[0] is not z:
+        _last_xent[:] = z, _log_softmax(z)
+    return (P * _last_xent[1]).sum() * c, _last_xent[1]
 
 
 _LOG_SOFTMAX = _Prim("log_softmax", lambda c, a: (_log_softmax(a), None),

@@ -218,11 +218,11 @@ def clock(into: dict, key: str):
         into[key] = time.perf_counter() - t0
 
 
-def _fork_join(tasks: dict, seconds: dict) -> tuple[dict, dict]:
-    """({name: value}, {name: exception}) of tasks' thunks, in tasks' order,
-    from this process and one forked child per further usable CPU; seconds
-    gets each one's wall seconds. A child that dies raises ChildProcessError;
-    every child is reaped before this returns or raises."""
+def _fork_join(tasks: dict) -> tuple[dict, dict, dict]:
+    """({name: value}, {name: exception}, {name: wall seconds}) of tasks'
+    thunks, handed out and listed in tasks' order, from this process and one
+    forked child per further usable CPU. A child that dies raises
+    ChildProcessError; every child is reaped before this returns or raises."""
     names = list(tasks)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     todo, feed = os.pipe()
@@ -273,9 +273,8 @@ def _fork_join(tasks: dict, seconds: dict) -> tuple[dict, dict]:
             raise ChildProcessError(f"a worker died with exit code {code} before reporting")
         for mine, theirs in zip((values, errors, wall), pickle.loads(payload)):
             mine.update(theirs)
-    seconds.update((name, wall[name]) for name in names)
     return ({n: values[n] for n in names if n in values},
-            {n: errors[n] for n in names if n in errors})
+            {n: errors[n] for n in names if n in errors}, {n: wall[n] for n in names})
 
 
 def train_baseline(cfg: ExperimentConfig, bundle: bg.DataBundle,
@@ -499,12 +498,14 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
 
     Every strategy gets the in-memory baseline (and SCRUB the gold model as
     teacher) and works on its own copy, so sibling strategies never see each
-    other's updates. Baseline and gold, then the strategies, run side by side
-    (_fork_join). A failing strategy becomes a "failed" table row, and one
-    whose reports Co-BUM cannot score gets null in cobum.json; a failing
-    stage aborts the run but leaves the manifest and any partial artifacts
-    behind. The manifest takes every stage's, training run's and strategy's
-    wall seconds from clock, failed ones included.
+    other's updates. Baseline and gold training and the bundle write, then
+    the strategies, longest first, run side by side (_fork_join); every file
+    lists the strategies in config order. A failing strategy becomes a
+    "failed" table row, and one whose reports Co-BUM cannot score gets null
+    in cobum.json; a failing stage (a bundle write fails "baseline") aborts
+    the run but leaves the manifest and any partial artifacts behind. The
+    manifest takes every stage's, training run's and strategy's wall seconds
+    from clock, failed ones included.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -535,13 +536,16 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
     with stage("generate"):
         bundle = build_bundle(cfg, master_seed)
         check_lora_rank(cfg, bundle)
-        bg.save_bundle(bundle, out / "bundle.csv")
-        manifest.reports["bundle"] = str(out / "bundle.csv")
 
-    with stage("baseline"):
-        trained, failed = _fork_join(
+    with stage("baseline"):  # the bundle is written while the trainings run
+        trained, failed, seconds = _fork_join(
             {"baseline": lambda: train_baseline(cfg, bundle, master_seed),
-             "gold": lambda: train_gold(cfg, bundle, master_seed)}, manifest.wall_seconds)
+             "gold": lambda: train_gold(cfg, bundle, master_seed),
+             "bundle": lambda: bg.save_bundle(bundle, out / "bundle.csv")})
+        manifest.wall_seconds.update(baseline=seconds["baseline"], gold=seconds["gold"])
+        if "bundle" in failed:
+            raise failed["bundle"]
+        manifest.reports["bundle"] = str(out / "bundle.csv")
         if "baseline" in failed:
             raise failed["baseline"]
         baseline, _, baseline_units = trained["baseline"]
@@ -554,10 +558,16 @@ def run_experiment(cfg: ExperimentConfig, master_seed: int, out_dir,
         manifest.checkpoints["gold"] = str(save_model(gold.model, out, "gold"))
 
     with stage("strategies"):
-        results, failed = _fork_join(
+        # Handed out longest first, so the strategy with the most steps starts
+        # at once; what the join returns is put back in config order.
+        longest_first = sorted(cfg.strategies, key=lambda name: -(
+            cfg.strategies[name].steps if "steps" in ul.POST_HOC_STRATEGIES[name].reads else 0))
+        joined = _fork_join(
             {name: functools.partial(run_strategy, name, cfg, bundle, baseline, gold.model,
-                                     master_seed) for name in cfg.strategies},
-            manifest.wall_seconds)
+                                     master_seed) for name in longest_first})
+        results, failed, seconds = ({name: got[name] for name in cfg.strategies if name in got}
+                                    for got in joined)
+        manifest.wall_seconds.update(seconds)
         for name, e in failed.items():
             manifest.failed_strategies[name] = f"{type(e).__name__}: {e}"
         for name, result in results.items():

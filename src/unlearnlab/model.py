@@ -203,16 +203,19 @@ def predict_proba(model: ModelParams, X) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def neg_entropy(p: np.ndarray, head: str) -> np.ndarray:
-    """Mean over rows of sum p log p for probabilities p from predict_proba,
-    with (1-p) log(1-p) added for a sigmoid head, as a 0-d array: the part of
-    KL(p || student) that target_loss against p leaves out."""
+def plogp(p: np.ndarray, head: str) -> np.ndarray:
+    """p log p per entry of probabilities p from predict_proba, plus
+    (1-p) log(1-p) for a sigmoid head; a row reads only its own p."""
     if head == "softmax":
-        plogp = np.where(p > 0.0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
-        return np.asarray(float(np.sum(plogp)) / p.shape[0])
+        return np.where(p > 0.0, p * np.log(np.clip(p, 1e-300, None)), 0.0)
     safe = np.clip(p, 1e-300, 1.0 - 1e-16)
-    plogp = p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
-    return np.asarray(float(np.mean(plogp)))
+    return p * np.log(safe) + (1.0 - p) * np.log1p(-safe)
+
+
+def neg_entropy(terms: np.ndarray) -> np.ndarray:
+    """Mean over rows of the row sums of plogp terms, as a 0-d array: the
+    part of KL(p || student) that target_loss against p leaves out."""
+    return np.asarray(float(np.sum(terms)) / terms.shape[0])
 
 
 def trainable_params(model: ModelParams) -> list[ad.Tensor]:
@@ -292,8 +295,9 @@ def train(
     orders = (np.random.default_rng([config.seed, e]).permutation(n) for e in range(config.epochs))
     idxs = (order[i : i + size] for order in orders for i in range(0, n, size))
     plan = ad.StepPlan(lambda Xb, Tb: (target_loss(forward(model, Xb), Tb, model.head),), params)
-    descend(plan, Adam(params, config.learning_rate).step,
-            ((X[idx], targets[idx]) for idx in idxs), lambda outputs: (outputs[0], 0, {}), [])
+    batches = ((np.take(X, idx, axis=0), np.take(targets, idx, axis=0)) for idx in idxs)
+    descend(plan, Adam(params, config.learning_rate).step, batches,
+            lambda outputs: (outputs[0], 0, {}), [])
     return model
 
 

@@ -97,7 +97,7 @@ def _retain_batches(model: md.ModelParams, Xr, yr, batch: int, cfg: StrategyConf
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.steps):
         idx = rng.choice(len(Xr), size=batch, replace=False)
-        yield Xr[idx], T[idx], *(c[idx] for c in columns)
+        yield tuple(np.take(c, idx, axis=0) for c in (Xr, T, *columns))
 
 
 def _mean_loss(model: md.ModelParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -299,7 +299,7 @@ def scrub_unlearn(
         if not len(Xf):
             return retain_kl, task, keep_terms
         forget_kl = ad.add(md.target_loss(md.forward(student, Xf), ad.tensor(teacher_f), head),
-                           ad.tensor(md.neg_entropy(teacher_f, head)))
+                           ad.tensor(md.neg_entropy(md.plogp(teacher_f, head))))
         return retain_kl, task, keep_terms, forget_kl, ad.sub(keep_terms, forget_kl)
 
     def read(outputs):
@@ -316,8 +316,8 @@ def scrub_unlearn(
             "task_loss": float(task.data), "forget_used": forget_used,
             "total": float(keep_terms.data) - forget_used}
 
-    batches = ((X, T, P, md.neg_entropy(P, head))
-               for X, T, P in _retain_batches(student, Xr, yr, batch, cfg, teacher_r))
+    batches = ((X, T, P, md.neg_entropy(terms)) for X, T, P, terms in _retain_batches(
+        student, Xr, yr, batch, cfg, teacher_r, md.plogp(teacher_r, head)))
     log, cost, _ = md.descend(
         ad.StepPlan(build, params), md.Adam(params, cfg.eta).step, batches, read, [])
     return UnlearnResult(model=student, step_log=log, cost_units=cost, extra={

@@ -345,7 +345,7 @@ def test_first_order_grad_matches_taped_on_scrub_kl(head, sizes):
     p = md.predict_proba(teacher, X)
     assert_modes_agree(
         lambda: ad.add(md.target_loss(md.forward(student, X), ad.tensor(p), head),
-                       ad.tensor(md.neg_entropy(p, head))),
+                       ad.tensor(md.neg_entropy(md.plogp(p, head)))),
         md.trainable_params(student),
     )
 
@@ -437,6 +437,88 @@ def test_softmax_xent_checks_operands():
         ad.softmax_xent(ad.tensor(np.zeros((0, 3))), np.zeros((0, 3)))
     with pytest.raises(ad.NonFiniteError):
         ad.softmax_xent(z, np.array([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+
+# ---------------------------------------------------------------------------
+# Two cross-entropies on one logits node: SCRUB's retain KL and task loss.
+# ---------------------------------------------------------------------------
+
+def two_xent_step(W, b, copy_logits=False, xent=ad.softmax_xent):
+    """build(X, P, T) for a StepPlan: two cross-entropies on one logits
+    node, or, with copy_logits, the second on a bitwise copy of it."""
+    def build(X, P, T):
+        z = ad.linear(X, W, b)
+        second = ad.scale(z, 1.0) if copy_logits else z
+        first, task = xent(z, P), xent(second, T)
+        return ad.add(first, ad.scale(task, 0.7)), first, task
+    return build
+
+def xent_inputs(rng, n, k=3):
+    e = np.exp(rng.normal(size=(n, k)))
+    return rng.normal(size=(n, 4)), e / e.sum(axis=1, keepdims=True), np.eye(k)[rng.integers(0, k, n)]
+
+def test_two_xents_on_one_logits_run_log_softmax_once(monkeypatch):
+    calls = []
+    log_softmax = ad._log_softmax
+    monkeypatch.setattr(ad, "_log_softmax", lambda x: calls.append(x) or log_softmax(x))
+    rng = np.random.default_rng(80)
+    W, b = ad.tensor(rng.normal(size=(3, 4))), ad.tensor(rng.normal(size=3))
+    build = two_xent_step(W, b)
+    build(*map(ad.tensor, xent_inputs(rng, 5)))
+    assert len(calls) == 1
+    plan = ad.StepPlan(build, [W, b])
+    for step in range(3):  # the tape, then two replays
+        calls.clear()
+        plan.forward(*xent_inputs(rng, 5))
+        assert len(calls) == 1, step
+    calls.clear()
+    ad.softmax_xent(ad.tensor(rng.normal(size=(5, 3))), xent_inputs(rng, 5)[1])
+    assert len(calls) == 1  # other logits: a log_softmax of their own
+
+def test_two_xents_on_one_logits_are_bitwise_two_on_copies():
+    rng = np.random.default_rng(81)
+    W, b = ad.tensor(rng.normal(size=(3, 4))), ad.tensor(rng.normal(size=3))
+    shared = ad.StepPlan(two_xent_step(W, b), [W, b])
+    copied = ad.StepPlan(two_xent_step(W, b, copy_logits=True), [W, b])
+    for n in (5, 5, 7, 5):  # the tape, a replay, another shape, a replay
+        inputs = xent_inputs(rng, n)
+        outs = [plan.forward(*inputs) for plan in (shared, copied)]
+        assert [o.data.tobytes() for o in outs[0]] == [o.data.tobytes() for o in outs[1]]
+        grads = [[g.data.tobytes() for g in plan.grad(o[0])] for plan, o in
+                 zip((shared, copied), outs)]
+        assert grads[0] == grads[1]
+        # Each loss alone too: the first's gradient and the second's.
+        for i in (1, 2):
+            assert ([g.data.tobytes() for g in shared.grad(outs[0][i])]
+                    == [g.data.tobytes() for g in copied.grad(outs[1][i])])
+
+def test_a_replay_never_reuses_a_stale_log_softmax():
+    rng = np.random.default_rng(82)
+    W, b = ad.tensor(rng.normal(size=(3, 4))), ad.tensor(rng.normal(size=3))
+    plan = ad.StepPlan(two_xent_step(W, b), [W, b])
+
+    def fresh(inputs):  # the log_softmax/mul/sum_all/scale chain, which keeps nothing
+        chain = two_xent_step(W, b, xent=lambda z, P: chain_xent(z, P.data))
+        outputs = chain(*map(ad.tensor, inputs))
+        return [o.data.tobytes() for o in outputs], [
+            g.data.tobytes() for g in ad.grad(outputs[0], [W, b])]
+
+    X, P, T = xent_inputs(rng, 6)
+    for inputs in ((X, P, T), (X + 1.0, P, T), (X, P[::-1].copy(), T), (X, P, T)):
+        outputs = plan.forward(*inputs)
+        got = [o.data.tobytes() for o in outputs], [g.data.tobytes() for g in plan.grad(outputs[0])]
+        # A cross-entropy on other logits between two steps changes nothing.
+        ad.softmax_xent(ad.tensor(rng.normal(size=(6, 3))), P)
+        assert got == fresh(inputs)
+    W.data = W.data * 0.5  # new weights, as an optimiser rebinds them
+    outputs = plan.forward(X, P, T)
+    assert [o.data.tobytes() for o in outputs] == fresh((X, P, T))[0]
+
+@pytest.mark.parametrize("rows", [1, 64, 600])
+def test_linear_forward_is_bitwise_the_matmul_plus_bias(rows):
+    rng = np.random.default_rng(83)
+    h, W, b = rng.normal(size=(rows, 16)), rng.normal(size=(32, 16)), rng.normal(size=32)
+    out = ad.linear(ad.tensor(h), ad.tensor(W), ad.tensor(b)).data
+    assert out.tobytes() == (h @ W.T.copy() + b).tobytes()
 
 MULTI_PARENT = {
     "mul": (ad.mul, [(3, 4), (3, 4)]),

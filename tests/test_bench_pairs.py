@@ -51,6 +51,25 @@ def test_compare_counts_wins_and_the_gap_against_the_parent_spread():
     assert out["gap_exceeds_parent_iqr"] and out["change_over_parent"] == 92.5 / 101.5
 
 
+@pytest.mark.parametrize("spec, parent, change, met", [
+    # 10 pairs, parent median 100.5, quartiles 100-101: a gain of 5.5 that
+    # wins 9 pairs meets the claim, one that wins 8 does not.
+    (HIGHER, [100] * 5 + [101] * 5, [106] * 9 + [99], True),
+    (HIGHER, [100] * 5 + [101] * 5, [106] * 8 + [99] * 2, False),
+    (LOWER, [100] * 5 + [101] * 5, [95] * 9 + [102], True),
+    # A tie is no win: 8 wins and 2 ties.
+    (HIGHER, [100] * 5 + [101] * 5, [106] * 8 + [100, 101], False),
+    # Every pair won, but the gap (1.5) is inside the quartile spread (1.75).
+    (HIGHER, [100, 99, 103, 98, 104, 100, 101, 102, 100, 101],
+     [104, 102, 105, 101, 106, 102, 102, 103, 101, 102], False),
+    # 2 of 2 pairs is at least 9 in 10.
+    (HIGHER, [100, 101], [110, 111], True),
+])
+def test_compare_meets_a_claim_on_nine_in_ten_wins_and_a_gap_past_the_spread(
+        spec, parent, change, met):
+    assert bench_pairs.compare(spec, parent, change)["claim_met"] is met
+
+
 def test_main_keeps_each_runs_load_beside_its_values(tmp_path, monkeypatch):
     runs = []
 

@@ -648,10 +648,53 @@ def test_run_experiment_deterministic(tiny_config, tmp_path):
                 == Path(m2.reports[name]).read_bytes())
 
 
+# sha256 of every other file a seed-1 run of each shipped config writes, but
+# manifest.json: its bundle, checkpoints, eval_reports.json and cobum.json.
+SEED_1_FILES = {
+    "patch": {
+        "baseline.ckpt": "62ec7ccebb107a6938301c55b5947ed28b8ecc473dd45fa974dfa1d950b2b0fb",
+        "bundle.csv": "fd7908c2902d5269281f1d36008a3c4fbff5326e1441ca11787a4236066662a3",
+        "bundle.csv.meta.json": "a02a59a6012ce044fde0ee7cfb12f61c6fb09fbfb237c0d6d05c2d461494a6dd",
+        "cobum.json": "df643d48497fabd37f5797990a9b815a273aad4786567dc1ef6c46c9bbf2b083",
+        "eval_reports.json": "ce30b52bf04cadaa7dd35b8e8a1b4408daf9ac56dbac0cb0bdc4ebc51f25eecd",
+        "fmd.ckpt": "198c2bbbb54e2728ec65722368ff83f1880cb7656ecd3c065d2952547c930b56",
+        "gold.ckpt": "a19d1db2fae26989d87e97bd330fbf4e579149fb9067e81e1e572e3863993396",
+        "gradient_ascent.ckpt": "ad0df31f41c0c57b2736e6afb35e8e15311f398e18f6e898bf8ff9809fc89f59",
+        "lora.ckpt": "61c1ee8385ecfaeeafecaea364eb7777a8248d3fe7b7ba26a7ed8bc92b61f4a6",
+        "scrub.ckpt": "7cbdb8d7615760a6eaad35c24995df08b47b89beaa70fef6679a304803b2e0c8",
+    },
+    "attribute": {
+        "baseline.ckpt": "fc3180a0cf8493a224cc2e22eef7a833a731318b3a80e673d3636d47004ef920",
+        "bundle.csv": "45c4a275d0eaaedd0bc61d32d60e8d769fc75fd86845f7d02be04041e6c8d25c",
+        "bundle.csv.meta.json": "dd8959c62ca6d523437419fb8b06e8f87ee3643995a3e27bcf8d0860c09b55e4",
+        "cobum.json": "21b1328a0da08801a4ed5ec55f081706fe3474c7a96175574f3f4afc2970549b",
+        "eval_reports.json": "35c8b4338f07662e66879c96cbf783d3743bfc6f2a1c3a53ee9a871b90472b27",
+        "gold.ckpt": "1deeeca8b3fcbf63d6e5497237c99719d4591960166a7f6727d71f84c3cb841b",
+        "gradient_ascent.ckpt": "eaea28c429b17420a7f463537f4a46fb4f53c5924a60e287e1851571306ee363",
+        "lora.ckpt": "3918d18f6a9f92bfc848b826a7c8ccc371799cf0c039e9c68906802301b8fd8c",
+        "scrub.ckpt": "e5ea24d617bce1bda7970535f2038b49b4f26c8c888c753b0a2a212886be3e4b",
+    },
+    "pose": {
+        "baseline.ckpt": "6dc0f6d94e3176f822cafe95ec02a50da4b5689d3583b41dba07c6de3f9d21cb",
+        "bundle.csv": "7c25c8b30b3a49833cca9dbc24c76586ab98d5bc10d3fd5b7162de6275600966",
+        "bundle.csv.meta.json": "11054300f3d03d8aa2183799aa198f66148726717ac61b14f6f910c6a30d64d2",
+        "cobum.json": "ab02961af33209a6b1bd15ffcb7d9047472369780b9aeb99541cd921e0701bfb",
+        "eval_reports.json": "b50318d4ad74ca5e6a58ce0c3772787077b1034c944318f2182c438666e08c6a",
+        "fmd.ckpt": "fca446886aed41d0464e3cdeb460b479b12cac6236daa7e4ef67fc3331f0ca50",
+        "gold.ckpt": "85480a10dc58704c8687b6baea8bc17c2fbe273502aea42accf1b540819eac15",
+        "gradient_ascent.ckpt": "048f1585f405879d1990ca634e43cb38c77d57b512fd135895efd606c6176a4f",
+        "lora.ckpt": "e5979495642794dac17ff17b2fb0cf17efebb34334ca065cd79ab98f2552549a",
+        "scrub.ckpt": "c20865679d6522ea83aaf6734881ee1c0894e2857ff9e3d621db99184e854015",
+    },
+}
+
+
 @pytest.mark.parametrize("name", ["patch", "attribute", "pose"])
 def test_shipped_config_reproduces_reference_results(tmp_path, name):
     """The benchmark's reference digests of results.* at seed 1 hold for
-    every shipped config, so a drift in any scenario fails here too."""
+    every shipped config, so a drift in any scenario fails here too; so do
+    those of its other files, so a kernel change that moves one bit of a
+    checkpoint, or a reordered key in a JSON file, fails as well."""
     expected = json.loads(REFERENCE.read_text())[f"{name}@1"]
     config = CONFIG_DIR / f"{name}.cfg"
     out = tmp_path / name
@@ -659,6 +702,8 @@ def test_shipped_config_reproduces_reference_results(tmp_path, name):
     assert not manifest.failed_strategies
     files = ("results.csv", "results.json", "results.md")
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files} == expected
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+            if p.name not in (*files, "manifest.json")} == SEED_1_FILES[name]
 
 
 def test_run_experiment_strategy_isolation(tiny_config, tmp_path):
@@ -868,6 +913,68 @@ def test_failed_fork_leaves_its_tasks_to_the_processes_there(tmp_path, monkeypat
     assert len(os.listdir("/dev/fd")) == open_fds
     assert manifest.failed_stage is None and not manifest.failed_strategies
     assert run_files(tmp_path / "serial") == run_files(tmp_path / "forked")
+
+
+# GA and LoRA run 3 steps each, SCRUB 5 and FMD none: longest first is SCRUB,
+# GA, LoRA, FMD, which is not the config's order.
+LONGEST_LAST = TINY_PATCH + "\n[scrub]\nsteps = 5\n\n[fmd]\ndamping = 1.0\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_strategies_start_longest_first_and_files_keep_config_order(tmp_path, monkeypatch,
+                                                                      cpus):
+    path = write_config(tmp_path, LONGEST_LAST)
+    cfg = hn.load_config(path)
+    assert list(cfg.strategies) == ["gradient_ascent", "lora", "scrub", "fmd"]
+    use_cpus(monkeypatch, cpus)
+    parent, started, forks = os.getpid(), tmp_path / "started", []
+
+    def fork(_fork=os.fork):
+        # The strategies' worker waits until this process has taken its
+        # first task, so that task is the first handed out.
+        forks.append(None)
+        pid = _fork()
+        if pid == 0 and len(forks) == 2:
+            meet(tmp_path, "worker", "started")
+        return pid
+
+    def spy(name, *args, _run=hn.run_strategy):
+        if os.getpid() == parent:
+            with started.open("a") as log:
+                log.write(name + "\n")
+        return _run(name, *args)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(hn, "run_strategy", spy)
+    out = tmp_path / "run"
+    manifest = hn.run_experiment(cfg, 7, out, config_path=path)
+    assert_no_child_left()
+    assert len(forks) == cpus - 1 + cpus - 1
+    assert started.read_text().splitlines()[0] == "scrub"
+    assert not manifest.failed_strategies
+    order = [*cfg.strategies]
+    payload = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(payload["wall_seconds"]) == ["baseline", "gold", *order]
+    assert list(payload["checkpoints"]) == ["baseline", "gold", *order]
+    assert list(payload["strategies"]) == order
+    assert list(json.loads((out / "eval_reports.json").read_text())) == [
+        "baseline", "gold", *order]
+    assert list(json.loads((out / "cobum.json").read_text())) == order
+
+
+def test_a_bundle_write_that_fails_fails_the_baseline_stage(tmp_path, monkeypatch):
+    def full(bundle, path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+    monkeypatch.setattr(bg, "save_bundle", full)
+    use_cpus(monkeypatch, 2)
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="No space left"):
+        hn.run_experiment(hn.load_config(write_config(tmp_path, TINY_PATCH)), 7, out)
+    assert_no_child_left()
+    payload = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert payload["failed_stage"] == "baseline"
+    assert list(payload["stage_seconds"]) == ["generate", "baseline"]
+    assert payload["checkpoints"] == {} and "bundle" not in payload["reports"]
+    assert not list(out.glob("*.ckpt"))
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_label_range_rejected():
 
 @pytest.mark.parametrize("head,sizes", [("softmax", [5, 7, 4]), ("sigmoid", [5, 7, 1])])
 def test_loss_on_teacher_probabilities_plus_neg_entropy_is_kl(head, sizes):
-    """target_loss(z, p) + neg_entropy(p) is the mean KL(p || q), checked
+    """target_loss(z, p) + neg_entropy(plogp(p)) is the mean KL(p || q), checked
     against scipy's elementwise p log(p/q); a sigmoid head's is Bernoulli."""
     rng = np.random.default_rng(50)
     X = rng.normal(size=(9, 5))
@@ -106,10 +106,26 @@ def test_loss_on_teacher_probabilities_plus_neg_entropy_is_kl(head, sizes):
     student = md.init_model(sizes, head, 52)
     q = md.predict_proba(student, X)
     kl = ad.add(md.target_loss(md.forward(student, X), ad.tensor(p), head),
-                ad.tensor(md.neg_entropy(p, head))).item()
+                ad.tensor(md.neg_entropy(md.plogp(p, head)))).item()
     if head == "sigmoid":
         p, q = np.hstack([p, 1.0 - p]), np.hstack([q, 1.0 - q])
     assert kl == pytest.approx(np.mean(np.sum(rel_entr(p, q), axis=1)), abs=1e-12)
+
+@pytest.mark.parametrize("head,sizes", [("softmax", [5, 7, 4]), ("sigmoid", [5, 7, 1])])
+def test_neg_entropy_of_a_batchs_rows_of_plogp_is_bitwise_that_of_the_batch(head, sizes):
+    """SCRUB takes plogp of the teacher's probabilities once per run and
+    reduces each batch's rows of it: bit for bit what plogp of the batch's
+    probabilities gives, and for a sigmoid head the mean of its terms."""
+    rng = np.random.default_rng(53)
+    p = md.predict_proba(md.init_model(sizes, head, 54), rng.normal(size=(700, 5)))
+    p[:3] = 0.0 if head == "sigmoid" else np.eye(4)[:3]  # p log p = 0 entries
+    terms = md.plogp(p, head)
+    for n in (1, 64, 600):
+        idx = rng.choice(len(p), size=n, replace=False)
+        rows = md.neg_entropy(np.take(terms, idx, axis=0))
+        assert rows.tobytes() == md.neg_entropy(md.plogp(p[idx], head)).tobytes()
+        if head == "sigmoid":
+            assert rows.tobytes() == np.asarray(float(np.mean(md.plogp(p[idx], head)))).tobytes()
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
