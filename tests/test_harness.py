@@ -935,7 +935,10 @@ def test_strategies_start_longest_first_and_files_keep_config_order(tmp_path, mo
         forks.append(None)
         pid = _fork()
         if pid == 0 and len(forks) == 2:
-            meet(tmp_path, "worker", "started")
+            try:
+                meet(tmp_path, "worker", "started")
+            except TimeoutError:  # the child must not return into the test
+                os._exit(1)
         return pid
 
     def spy(name, *args, _run=hn.run_strategy):
@@ -948,7 +951,7 @@ def test_strategies_start_longest_first_and_files_keep_config_order(tmp_path, mo
     out = tmp_path / "run"
     manifest = hn.run_experiment(cfg, 7, out, config_path=path)
     assert_no_child_left()
-    assert len(forks) == cpus - 1 + cpus - 1
+    assert len(forks) == 2 * (cpus - 1)  # one worker for each of the two stages
     assert started.read_text().splitlines()[0] == "scrub"
     assert not manifest.failed_strategies
     order = [*cfg.strategies]
